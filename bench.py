@@ -542,7 +542,6 @@ def north() -> None:
         num_partitions=int(os.environ.get("GRAFT_NORTH_PARTITIONS", "128")),
         batch_size=int(os.environ.get("GRAFT_BENCH_BATCH_SIZE", "131072")),
         write_mode="delta",
-        shuffle="staged",
     )
     init_lake_distributed(
         lake, TableSpec(name="sequences", schema=PAYLOAD_SCHEMA),

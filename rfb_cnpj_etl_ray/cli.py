@@ -50,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("lake")
     sp.add_argument("log_dir")
     sp.add_argument("--table", default="sequences")
-    sp.add_argument("--shuffle", default="staged", choices=["staged", "groupby"])
     sp.add_argument("--write-mode", default="cow", choices=["cow", "delta"])
     sp.add_argument("--batch-size", type=int, default=None)
 
@@ -232,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             from rfb_cnpj_etl_ray.config import EngineConfig
             from rfb_cnpj_etl_ray.pipelines.ingest import ingest
 
-            kw = {"shuffle": args.shuffle, "write_mode": args.write_mode}
+            kw = {"write_mode": args.write_mode}
             if args.batch_size:
                 kw["batch_size"] = args.batch_size
             report = ingest(args.lake, args.log_dir, table=args.table,

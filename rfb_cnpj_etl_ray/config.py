@@ -28,22 +28,7 @@ class EngineConfig:
     #: payloads (max-length token lists) 64k rows ≈ 64 MB per batch.
     batch_size: int = 65_536
 
-    # --- shuffle strategy -------------------------------------------------
-    #: "staged" (default): two-phase exchange through the staging dir —
-    #: phase-1 tasks append per-partition chunk files, phase-2 tasks merge
-    #: one partition each. No global sort barrier; multi-node the staging
-    #: dir lives on shared storage. "groupby": Ray-native
-    #: groupby(part).map_groups sort shuffle (object-store all-to-all) —
-    #: kept for comparison and for clusters without shared storage.
-    shuffle: str = "staged"
-
-    #: run the per-batch partial LWW reduce in phase 1 (shrinks shuffled
-    #: bytes and collapses hot keys before the exchange).
-    partial_reduce: bool = True
-
-    #: staging chunks are transient — favor speed over ratio.
-    staging_compression: str = "lz4"
-
+    # --- write mode -------------------------------------------------------
     #: "cow" (copy-on-write): every touched partition is rewritten as a
     #: full snapshot per epoch — best for one big replay or read-heavy
     #: tables. "delta" (merge-on-read): each epoch appends only the
@@ -54,33 +39,17 @@ class EngineConfig:
     write_mode: str = "cow"
 
     # --- skew handling ----------------------------------------------------
-    #: two-stage salted merge on BOTH shuffle paths. staged: phase-1
-    #: writes per-(partition, doc-hash-salt) chunk buckets, phase-2a
-    #: folds each bucket in parallel, phase-2b merges (a pathologically
-    #: hot partition's fold spreads over salt_factor tasks). groupby:
-    #: lsn-salted (partition, salt) pre-reduce then per-partition merge.
-    #: 1 = disabled. Only useful when a single partition's event group
-    #: exceeds a worker; the per-batch partial LWW reduce already
-    #: collapses hot KEYS to ≤1 row per block.
+    #: two-stage salted merge in the staged exchange: phase 1 writes
+    #: per-(partition, doc-hash-salt) chunk buckets, phase 2a folds each
+    #: bucket in parallel, phase 2 merges (a pathologically hot
+    #: partition's fold spreads over salt_factor tasks). 1 = disabled.
+    #: Only useful when a single partition's event group exceeds a
+    #: worker; the per-batch partial LWW reduce already collapses hot
+    #: KEYS to ≤1 row per block.
     salt_factor: int = 1
 
-    # --- merge stage sizing ----------------------------------------------
-    #: actor-pool size for the partition merger stage; None → let Ray size
-    #: stateless tasks. A (min, max) tuple autoscales the pool.
-    merge_concurrency: int | tuple[int, int] | None = None
-
-    #: CPUs reserved per merger actor/task.
-    merge_num_cpus: float = 1.0
-
-    #: CPUs reserved per heavy task in the staged exchange. None → auto:
-    #: 2 when the node advertises SMT-inflated CPU counts (>16), else 1.
-    #: Memory-bandwidth-bound sort/copy kernels gain nothing from
-    #: hyperthread siblings and collapse under 2× oversubscription — one
-    #: task per physical core is the fast configuration.
-    staged_task_num_cpus: float | None = None
-
     # --- sink -------------------------------------------------------------
-    #: parquet compression for staged partition files.
+    #: parquet compression for partition snapshot and delta files.
     compression: str = "zstd"
 
     #: rows per row-group in written parquet (bounds reader memory).
@@ -100,15 +69,17 @@ class EngineConfig:
     fail_before_commit: bool = field(default=False, repr=False)
 
     def validate(self) -> None:
-        if self.shuffle not in ("staged", "groupby"):
-            raise ValueError("shuffle must be 'staged' or 'groupby'")
         if self.write_mode not in ("cow", "delta"):
             raise ValueError("write_mode must be 'cow' or 'delta'")
-        if self.write_mode == "delta" and self.shuffle != "staged":
-            raise ValueError("write_mode='delta' requires shuffle='staged'")
-        if self.num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
+        check_num_partitions(self.num_partitions)
         if self.salt_factor < 1:
             raise ValueError("salt_factor must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+
+def check_num_partitions(n: int) -> None:
+    """Reject a partition count the hash router cannot use, before any
+    write (``x % 0`` in numpy warns and yields 0 instead of raising)."""
+    if n < 1:
+        raise ValueError(f"num_partitions must be >= 1 (got {n})")

@@ -9,13 +9,15 @@ incremental, exactly-once, resumable replay:
     select uncommitted segments  (resume; .part/Range analog, cnpj_downloader.py:84-96)
     evolve schema                (north-rule addition; declared SCHEMA analog)
     read_parquet(segments)       (streaming, schema-unified at read)
-    map_batches(ToInternal)      (stateless partial LWW reduce + partition routing)
-    [groupby(part, salt)]        (optional hot-key stage)
-    groupby(part).map_groups(PartitionMerger)   (the one all-to-all shuffle)
+    staged_exchange:             (stages/merge.py — the one exchange)
+      phase 1 map_batches        (routing + partial LWW reduce → staged chunks)
+      [phase 2a per salt bucket] (optional hot-partition stage)
+      phase 2 per partition      (fold with committed state → snapshot)
     commit-log append            (single atomic synchronization point)
 
 Never materializes the event stream on the driver: the only driver-side
-collect is the tiny per-partition manifest table (≤ num_partitions rows).
+collects are the tiny per-task stage stats and the per-partition
+manifest table (≤ num_partitions rows).
 Callers own the Ray session — nothing here calls ray.init().
 """
 
@@ -39,48 +41,16 @@ from rfb_cnpj_etl_ray.spec import (
 )
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
-    INTERNAL_LSN,
-    PART_COL,
-    SALT_COL,
-    PartitionMerger,
-    ToInternal,
     internal_schema,
-    make_partition_merger,
-    make_stage_partitioner,
-    salted_reduce,
+    staged_exchange,
     strip_internal,
 )
-from rfb_cnpj_etl_ray.state.commitlog import CommitLog
+from rfb_cnpj_etl_ray.state.commitlog import CommitLog, partition_files
 from rfb_cnpj_etl_ray.state.manifest import (
     manifest_from_dir,
     read_manifest,
     validate_segments,
 )
-
-
-def _staged_task_cpus(cfg: EngineConfig) -> float:
-    """SMT-aware task sizing: one heavy task per *physical* core. The
-    sort/copy kernels in the exchange are memory-bandwidth-bound; running
-    two per core (hyperthread siblings) measurably anti-scales."""
-    if cfg.staged_task_num_cpus is not None:
-        return cfg.staged_task_num_cpus
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return 2.0 if cpus > 16 else 1.0
-
-
-def _pool_size(cfg: EngineConfig, num_partitions: int) -> int | tuple[int, int]:
-    """Merger actor-pool size: explicit config wins; otherwise most of the
-    cluster's CPUs (leaving headroom for the read + partial-reduce stages),
-    capped at the partition count (each group is one unit of work)."""
-    if cfg.merge_concurrency is not None:
-        return cfg.merge_concurrency
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    n = max(1, int((cpus - 2) / max(cfg.merge_num_cpus, 0.25)))
-    return max(1, min(n, num_partitions))
 
 
 def ingest(
@@ -142,147 +112,79 @@ def ingest(
     )
 
     epoch = last["epoch"] + 1
-    merger_kwargs = dict(
-        table_dir=str(table_dir),
-        epoch=epoch,
-        current_files={
-            int(k): [f for f in [v.get("file")] + list(v.get("deltas", []))
-                     if f is not None]
-            for k, v in last["partitions"].items()
-        },
-        payload_schema_json=schema_to_jsonable(payload_schema),
-        compression=cfg.compression,
-        row_group_size=cfg.row_group_size,
-    )
-
     reporter = None
     if cfg.progress:
         from rfb_cnpj_etl_ray.progress import ProgressReporter
 
         reporter = ProgressReporter(total=events_read,
                                     label=f"{table} epoch {epoch}")
-
     try:
-        return _ingest_body(
-            lake_dir, log_dir, table, cfg, t0, table_dir, log, last,
-            num_partitions, committed_segments, payload_schema,
-            change_schema, paths, new_segs, seg_id, events_read, epoch,
-            merger_kwargs, reporter)
+        ds = ray.data.read_parquet(paths, schema=change_schema)
+        with staged_exchange(
+            ds, table_dir, epoch, payload_schema, num_partitions, cfg,
+            write_mode=cfg.write_mode,
+            current_files={int(k): partition_files(v)
+                           for k, v in last["partitions"].items()},
+            min_lsn_exclusive=last.get("compaction_watermark"),
+            progress_counter=(reporter.counter if reporter else None),
+            t0=t0,
+        ) as exchange:
+            t_staged = time.perf_counter()
+            if cfg.fail_before_commit:
+                raise RuntimeError(
+                    "injected failure before commit (cfg.fail_before_commit)")
+            staged = exchange.rows
+            partitions = _next_partitions(last["partitions"], staged,
+                                          cfg.write_mode)
+            record = {
+                "epoch": epoch,
+                "table": table,
+                "num_partitions": num_partitions,
+                "schema": schema_to_jsonable(payload_schema),
+                "partitions": partitions,
+                "segments": sorted(committed_segments
+                                   | {seg_id(s) for s in new_segs}),
+                "parent": last["epoch"],
+                **(
+                    {"compaction_watermark": last["compaction_watermark"]}
+                    if last.get("compaction_watermark") is not None else {}
+                ),
+                "metrics": {
+                    "events_read": events_read,
+                    "segments_this_epoch": [s["name"] for s in new_segs],
+                    "partitions_touched": len(staged),
+                    "events_dropped_late": exchange.dropped_late,
+                    "rows_total": sum(
+                        int(p["live_rows"] if p.get("live_rows") is not None
+                            else p["rows"])
+                        for p in partitions.values()
+                    ),
+                    "stage_seconds": round(t_staged - t0, 3),
+                },
+            }
+            log.append(record)
     finally:
         # a failed epoch must not leak the progress render thread /
         # counter actor (they would print forever in a tail loop)
         if reporter is not None:
             reporter.stop()
+    return {
+        "epoch": epoch,
+        "segments": [s["name"] for s in new_segs],
+        "events_read": events_read,
+        "partitions_touched": len(staged),
+        "events_dropped_late": exchange.dropped_late,
+        "noop": False,
+        "seconds": time.perf_counter() - t0,
+        "phase_seconds": exchange.phase_seconds,
+    }
 
 
-def _ingest_body(lake_dir, log_dir, table, cfg, t0, table_dir, log, last,
-                 num_partitions, committed_segments, payload_schema,
-                 change_schema, paths, new_segs, seg_id, events_read,
-                 epoch, merger_kwargs, reporter):
-    import time
-
-    ds = ray.data.read_parquet(paths, schema=change_schema)
-    if cfg.shuffle == "staged":
-        # two-phase staged exchange (see stages/merge.py): no sort
-        # barrier, elastic task pools, retry-safe by LWW idempotence.
-        import shutil as _shutil
-
-        staging = table_dir / "_staging" / f"epoch-{epoch:06d}"
-        _shutil.rmtree(staging, ignore_errors=True)  # crash leftovers
-        stage_fn = make_stage_partitioner(
-            payload_schema, num_partitions, str(staging),
-            partial_reduce=cfg.partial_reduce,
-            compression=cfg.staging_compression,
-            min_lsn_exclusive=last.get("compaction_watermark"),
-            worker_threads=int(_staged_task_cpus(cfg)),
-            salt_factor=cfg.salt_factor,
-            progress_counter=(reporter.counter if reporter else None),
-        )
-        task_cpus = _staged_task_cpus(cfg)
-        t_p0 = time.perf_counter()
-        stats = ds.map_batches(
-            stage_fn, batch_format="pyarrow", batch_size=cfg.batch_size,
-            zero_copy_batch=True, num_cpus=task_cpus,
-        ).take_all()  # tiny (tasks × touched parts); acts as the barrier
-        t_p1 = time.perf_counter()
-        events_dropped_late = sum(r["rows"] for r in stats if r["part"] < 0)
-        touched_parts = sorted({r["part"] for r in stats if r["part"] >= 0})
-        if cfg.salt_factor > 1:
-            # phase 2a: fold each (part, salt) bucket in parallel — a hot
-            # partition's fold spreads over salt_factor tasks; the salt is
-            # a doc_id hash, so each bucket's fold is complete per key.
-            from rfb_cnpj_etl_ray.stages.merge import make_salt_reducer
-
-            reducer = make_salt_reducer(str(staging),
-                                        worker_threads=int(task_cpus))
-            bucket_items = [
-                {"part": int(p), "salt": int(s)}
-                for p in touched_parts for s in range(cfg.salt_factor)
-            ]
-            ray.data.from_items(
-                bucket_items, override_num_blocks=max(1, len(bucket_items))
-            ).map_batches(
-                reducer, batch_format="pyarrow", batch_size=1,
-                num_cpus=task_cpus,
-            ).take_all()
-            chunk_glob = "stage2-*.arrow"
-        else:
-            chunk_glob = "stage-*.arrow"
-        merge_fn = make_partition_merger(
-            str(table_dir), str(staging), epoch,
-            merger_kwargs["current_files"],
-            merger_kwargs["payload_schema_json"],
-            compression=cfg.compression, row_group_size=cfg.row_group_size,
-            write_mode=cfg.write_mode,
-            worker_threads=int(task_cpus),
-            chunk_glob=chunk_glob,
-        )
-        items = ray.data.from_items(
-            [{"part": int(p)} for p in touched_parts],
-            override_num_blocks=max(1, len(touched_parts)),
-        )
-        staged = items.map_batches(
-            merge_fn, batch_format="pyarrow", batch_size=1, num_cpus=task_cpus
-        ).take_all()
-        t_p2 = time.perf_counter()
-        phase_seconds = {"setup": round(t_p0 - t0, 3),
-                         "stage": round(t_p1 - t_p0, 3),
-                         "merge": round(t_p2 - t_p1, 3)}
-    else:
-        phase_seconds = {}
-        ds = ds.map_batches(
-            ToInternal,
-            fn_constructor_kwargs=dict(
-                payload_schema=payload_schema,
-                num_partitions=num_partitions,
-                salt_factor=cfg.salt_factor,
-                # same GC invariant as the staged branch: post-compaction
-                # late events must not resurrect GC'd tombstones.
-                min_lsn_exclusive=last.get("compaction_watermark"),
-            ),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        if cfg.salt_factor > 1:
-            ds = ds.groupby([PART_COL, SALT_COL]).map_groups(
-                salted_reduce, batch_format="pyarrow"
-            )
-        manifest_ds = ds.groupby(PART_COL).map_groups(
-            PartitionMerger,
-            fn_constructor_kwargs=merger_kwargs,
-            batch_format="pyarrow",
-            concurrency=_pool_size(cfg, num_partitions),
-            num_cpus=cfg.merge_num_cpus,
-        )
-        staged = manifest_ds.take_all()  # ≤ num_partitions tiny rows
-    t_staged = time.perf_counter()
-
-    if cfg.fail_before_commit:
-        raise RuntimeError("injected failure before commit (cfg.fail_before_commit)")
-
-    partitions = dict(last["partitions"])
+def _next_partitions(prev_partitions: dict, staged: list[dict],
+                     write_mode: str) -> dict:
+    """The next commit's partition map: ``prev_partitions`` with each
+    phase-2 manifest row in ``staged`` applied."""
+    partitions = dict(prev_partitions)
     for row in staged:
         prev = partitions.get(str(row["part"]), {})
         # checkpoint never regresses: a LATE lower-LSN segment applied in
@@ -293,7 +195,7 @@ def _ingest_body(lake_dir, log_dir, table, cfg, t0, table_dir, log, last,
             (x for x in (prev.get("lsn_high"), row["lsn_high"])
              if x is not None),
             default=None)
-        if cfg.shuffle == "staged" and cfg.write_mode == "delta":
+        if write_mode == "delta":
             # merge-on-read: keep the base snapshot, append the delta;
             # physical rows accumulate, logical live count is unknown
             # until the next fold (compact / cow epoch / read).
@@ -341,51 +243,7 @@ def _ingest_body(lake_dir, log_dir, table, cfg, t0, table_dir, log, last,
                 "doc_id_min": row["doc_id_min"],
                 "doc_id_max": row["doc_id_max"],
             }
-    record = {
-        "epoch": epoch,
-        "table": table,
-        "num_partitions": num_partitions,
-        "schema": schema_to_jsonable(payload_schema),
-        "partitions": partitions,
-        "segments": sorted(committed_segments | {seg_id(s) for s in new_segs}),
-        "parent": last["epoch"],
-        **(
-            {"compaction_watermark": last["compaction_watermark"]}
-            if last.get("compaction_watermark") is not None else {}
-        ),
-        "metrics": {
-            "events_read": events_read,
-            "segments_this_epoch": [s["name"] for s in new_segs],
-            "partitions_touched": len(staged),
-            "events_dropped_late": (
-                events_dropped_late if cfg.shuffle == "staged" else 0
-            ),
-            "rows_total": sum(
-                int(p["live_rows"] if p.get("live_rows") is not None
-                    else p["rows"])
-                for p in partitions.values()
-            ),
-            "stage_seconds": round(t_staged - t0, 3),
-        },
-    }
-    log.append(record)
-    if cfg.shuffle == "staged":
-        import shutil as _shutil
-
-        _shutil.rmtree(table_dir / "_staging" / f"epoch-{epoch:06d}",
-                       ignore_errors=True)
-    return {
-        "epoch": epoch,
-        "segments": [s["name"] for s in new_segs],
-        "events_read": events_read,
-        "partitions_touched": len(staged),
-        "events_dropped_late": (
-            events_dropped_late if cfg.shuffle == "staged" else 0
-        ),
-        "noop": False,
-        "seconds": time.perf_counter() - t0,
-        "phase_seconds": phase_seconds,
-    }
+    return partitions
 
 
 def tail(
@@ -858,8 +716,7 @@ def lookup(
         wanted.setdefault(int(p), []).append(d)
     hits = []
     for p, keys in wanted.items():
-        entry = commit["partitions"][str(p)]
-        rels = [entry["file"]] + list(entry.get("deltas", []))
+        rels = partition_files(commit["partitions"][str(p)])
         state = load_partition_state(str(table_dir), rels, int_sch)
         import pyarrow.compute as pc_
 
@@ -905,56 +762,29 @@ def init_lake_from_dataset(
 
     atomic_write_bytes(table_dir / "_table_spec.json", spec.to_json().encode())
 
-    import shutil as _shutil
-
-    staging = table_dir / "_staging" / "epoch-000000"
-    _shutil.rmtree(staging, ignore_errors=True)
-    stage_fn = make_stage_partitioner(
-        spec.schema, cfg.num_partitions, str(staging),
-        partial_reduce=False, compression=cfg.staging_compression,
-        prep="base",
-        worker_threads=int(_staged_task_cpus(cfg)),
-    )
-    task_cpus = _staged_task_cpus(cfg)
-    stats = ds.map_batches(
-        stage_fn, batch_format="pyarrow", batch_size=cfg.batch_size,
-        zero_copy_batch=True, num_cpus=task_cpus,
-    ).take_all()
-    touched_parts = sorted({r["part"] for r in stats})
-    merge_fn = make_partition_merger(
-        str(table_dir), str(staging), 0, {},
-        schema_to_jsonable(spec.schema),
-        compression=cfg.compression, row_group_size=cfg.row_group_size,
-        worker_threads=int(task_cpus),
-    )
-    items = ray.data.from_items(
-        [{"part": int(p)} for p in touched_parts],
-        override_num_blocks=max(1, len(touched_parts)),
-    )
-    staged = items.map_batches(
-        merge_fn, batch_format="pyarrow", batch_size=1, num_cpus=task_cpus
-    ).take_all()
-    _shutil.rmtree(staging, ignore_errors=True)
-    partitions = {
-        str(r["part"]): {
-            "file": r["file"], "rows": r["rows"], "live_rows": r["live_rows"],
-            "bytes": r["bytes"], "lsn_high": None, "events_applied": 0,
+    with staged_exchange(ds, table_dir, 0, spec.schema, cfg.num_partitions,
+                         cfg, prep="base") as exchange:
+        staged = exchange.rows
+        # partitions with no base rows get no entry; they get files
+        # lazily on first touch.
+        record = {
+            "epoch": 0,
+            "table": spec.name,
+            "num_partitions": cfg.num_partitions,
+            "schema": schema_to_jsonable(spec.schema),
+            "partitions": {
+                str(r["part"]): {
+                    "file": r["file"], "rows": r["rows"],
+                    "live_rows": r["live_rows"], "bytes": r["bytes"],
+                    "lsn_high": None, "events_applied": 0,
+                }
+                for r in staged
+            },
+            "segments": [],
+            "parent": None,
+            "metrics": {"rows_total": sum(r["rows"] for r in staged)},
         }
-        for r in staged
-    }
-    # partitions with no base rows still need an (empty) entry so merges can
-    # carry them forward; they get files lazily on first touch.
-    record = {
-        "epoch": 0,
-        "table": spec.name,
-        "num_partitions": cfg.num_partitions,
-        "schema": schema_to_jsonable(spec.schema),
-        "partitions": partitions,
-        "segments": [],
-        "parent": None,
-        "metrics": {"rows_total": sum(r["rows"] for r in staged)},
-    }
-    log.append(record)
+        log.append(record)
     return record
 
 

@@ -22,21 +22,22 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from rfb_cnpj_etl_ray.config import EngineConfig
+from rfb_cnpj_etl_ray.config import EngineConfig, check_num_partitions
 from rfb_cnpj_etl_ray.hashing import partition_ids
 from rfb_cnpj_etl_ray.spec import schema_from_jsonable
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
     INTERNAL_LSN,
     internal_schema,
+    staged_exchange,
+    write_partition_snapshot,
 )
-from rfb_cnpj_etl_ray.state.commitlog import CommitLog, atomic_write_table
+from rfb_cnpj_etl_ray.state.commitlog import CommitLog, partition_files
 
 
 class LakeValidationError(RuntimeError):
@@ -62,8 +63,7 @@ def validate_lake(lake_dir: str | Path, table: str = "sequences",
     int_sch = internal_schema(schema_from_jsonable(commit["schema"]))
     num_partitions = commit["num_partitions"]
     items = [
-        {"part": int(p), "rels": [f for f in [v.get("file")] + list(v.get("deltas", [])) if f is not None],
-         "rows": int(v["rows"])}
+        {"part": int(p), "rels": partition_files(v), "rows": int(v["rows"])}
         for p, v in commit["partitions"].items()
     ]
 
@@ -149,15 +149,9 @@ def repartition_lake(
     applies; the commit flips ``num_partitions`` so subsequent ingests
     route with the new modulus. Tombstones and per-row ``_lsn`` travel
     along, so replay semantics are unchanged."""
-    import ray.data
+    from rfb_cnpj_etl_ray.pipelines.ingest import read_lake
 
-    from rfb_cnpj_etl_ray.spec import schema_to_jsonable
-    from rfb_cnpj_etl_ray.stages.merge import (
-        PART_COL,
-        load_partition_state,
-        make_partition_merger,
-    )
-
+    check_num_partitions(new_num_partitions)
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
     table_dir = Path(lake_dir) / table
@@ -165,92 +159,36 @@ def repartition_lake(
     commit = log.latest()
     if commit is None:
         raise RuntimeError(f"no commits in {table_dir}")
-    payload_schema = schema_from_jsonable(commit["schema"])
-    int_sch = internal_schema(payload_schema)
     epoch = commit["epoch"] + 1
-
-    import shutil as _shutil
-
-    staging = table_dir / "_staging" / f"epoch-{epoch:06d}"
-    _shutil.rmtree(staging, ignore_errors=True)
-    sch_json = schema_to_jsonable(payload_schema)
-    tdir = str(table_dir)
-
-    # phase 1: per OLD partition, fold its state and re-route + stage
-    # under the NEW modulus (writes go straight into the staged layout)
-    def restage(batch: pa.Table) -> pa.Table:
-        import uuid as _uuid
-
-        out = []
-        for row in batch.to_pylist():
-            state = load_partition_state(tdir, row["rels"], int_sch)
-            if state.num_rows == 0:
-                continue
-            parts = partition_ids(state.column("doc_id"), new_num_partitions)
-            import numpy as np_
-
-            order = np_.argsort(parts, kind="stable")
-            srt = state.take(pa.array(order))
-            sp = parts[order]
-            bounds = np_.flatnonzero(np_.diff(sp)) + 1
-            starts = np_.concatenate([[0], bounds])
-            ends = np_.concatenate([bounds, [len(sp)]])
-            uid = _uuid.uuid4().hex
-            for s, e in zip(starts, ends):
-                p = int(sp[s])
-                chunk = srt.slice(int(s), int(e - s))
-                pdir = Path(staging) / f"part={p:04d}"
-                pdir.mkdir(parents=True, exist_ok=True)
-                with pa.OSFile(str(pdir / f"stage-{uid}-{s}.arrow"), "wb") as f:
-                    with pa.ipc.new_file(f, chunk.schema) as w:
-                        w.write_table(chunk)
-                out.append({"part": p, "rows": chunk.num_rows})
-        return pa.Table.from_pylist(out, schema=pa.schema(
-            [pa.field("part", pa.int32()), pa.field("rows", pa.int64())]
-        ))
-
-    items = [
-        {"part": int(p), "rels": [f for f in [v.get("file")] + list(v.get("deltas", [])) if f is not None]}
-        for p, v in commit["partitions"].items()
-    ]
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    stats = ds.map_batches(restage, batch_format="pyarrow", batch_size=1).take_all()
-    touched = sorted({r["part"] for r in stats})
-
-    merge_fn = make_partition_merger(
-        tdir, str(staging), epoch, {}, sch_json,
-        compression=cfg.compression, row_group_size=cfg.row_group_size,
-    )
-    items2 = ray.data.from_items(
-        [{"part": int(p)} for p in touched],
-        override_num_blocks=max(1, len(touched)),
-    )
-    staged = items2.map_batches(merge_fn, batch_format="pyarrow",
-                                batch_size=1).take_all()
-
-    partitions = {
-        str(r["part"]): {
-            "file": r["file"], "rows": r["rows"], "live_rows": r["live_rows"],
-            "bytes": r["bytes"], "lsn_high": r["lsn_high"],
-            "events_applied": 0,
-            "doc_id_min": r["doc_id_min"], "doc_id_max": r["doc_id_max"],
-        }
-        for r in staged
-    }
-    log.append({
-        "epoch": epoch,
-        "table": table,
-        "num_partitions": new_num_partitions,
-        "schema": commit["schema"],
-        "partitions": partitions,
-        "segments": commit.get("segments", []),
-        "parent": commit["epoch"],
-        **({"compaction_watermark": commit["compaction_watermark"]}
-           if commit.get("compaction_watermark") is not None else {}),
-        "metrics": {"repartitioned_from": commit["num_partitions"],
-                    "seconds": round(time.perf_counter() - t0, 3)},
-    })
-    _shutil.rmtree(staging, ignore_errors=True)
+    # phase 1 re-routes the folded committed state (tombstones included)
+    # under the NEW modulus; phase 2 writes each new partition's snapshot
+    state = read_lake(lake_dir, table, include_tombstones=True)
+    with staged_exchange(state, table_dir, epoch,
+                         schema_from_jsonable(commit["schema"]),
+                         new_num_partitions, cfg, prep="state") as exchange:
+        staged = exchange.rows
+        log.append({
+            "epoch": epoch,
+            "table": table,
+            "num_partitions": new_num_partitions,
+            "schema": commit["schema"],
+            "partitions": {
+                str(r["part"]): {
+                    "file": r["file"], "rows": r["rows"],
+                    "live_rows": r["live_rows"], "bytes": r["bytes"],
+                    "lsn_high": r["lsn_high"], "events_applied": 0,
+                    "doc_id_min": r["doc_id_min"],
+                    "doc_id_max": r["doc_id_max"],
+                }
+                for r in staged
+            },
+            "segments": commit.get("segments", []),
+            "parent": commit["epoch"],
+            **({"compaction_watermark": commit["compaction_watermark"]}
+               if commit.get("compaction_watermark") is not None else {}),
+            "metrics": {"repartitioned_from": commit["num_partitions"],
+                        "seconds": round(time.perf_counter() - t0, 3)},
+        })
     return {"epoch": epoch, "num_partitions": new_num_partitions,
             "partitions_written": len(staged)}
 
@@ -285,9 +223,7 @@ def gc_snapshots(lake_dir: str | Path, table: str = "sequences",
     for path in commits[-keep:]:
         rec = _json.loads(path.read_text())
         for v in rec["partitions"].values():
-            for f in [v.get("file")] + list(v.get("deltas", [])):
-                if f is not None:
-                    referenced.add(f)
+            referenced.update(partition_files(v))
     newest_epoch = log.latest_epoch()
     removed, freed = 0, 0
     for f in sorted(table_dir.glob("part=*/[de]*.parquet")):
@@ -367,8 +303,7 @@ def compact_deltas(
             continue
         if base_rows and d_rows < min_delta_ratio * base_rows:
             continue
-        rels = ([base_file] if base_file else []) + deltas
-        items.append({"part": int(p), "rels": rels})
+        items.append({"part": int(p), "rels": partition_files(v)})
 
     if not items:
         return {"epoch": commit["epoch"], "partitions_folded": 0,
@@ -377,25 +312,16 @@ def compact_deltas(
     def fold(batch: pa.Table) -> pa.Table:
         from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
-        rows = []
-        for row in batch.to_pylist():
-            part, rels = row["part"], row["rels"]
-            t = load_partition_state(str(table_dir), rels, int_sch)
-            t = t.sort_by([("doc_id", "ascending")])
-            new_rel = f"part={part:04d}/epoch-{epoch:06d}.parquet"
-            size = atomic_write_table(
-                t, table_dir / new_rel,
-                compression=cfg.compression, row_group_size=cfg.row_group_size,
-            )
-            live = int(pc.sum(pc.invert(t[INTERNAL_DELETED])).as_py() or 0)
-            keys = t.column("doc_id")
-            rows.append({
-                "part": part, "file": new_rel, "rows": t.num_rows,
-                "live_rows": live, "bytes": size,
-                "doc_id_min": keys[0].as_py() if t.num_rows else None,
-                "doc_id_max": keys[-1].as_py() if t.num_rows else None,
-            })
-        return pa.Table.from_pylist(rows)
+        # the fold is lww_reduce output (or one snapshot/delta file that
+        # was written from it), so it is already doc_id-sorted
+        return pa.Table.from_pylist([
+            write_partition_snapshot(
+                load_partition_state(str(table_dir), row["rels"], int_sch),
+                table_dir, row["part"], epoch,
+                compression=cfg.compression,
+                row_group_size=cfg.row_group_size)
+            for row in batch.to_pylist()
+        ])
 
     ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
     results = ds.map_batches(fold, batch_format="pyarrow",
@@ -446,7 +372,7 @@ def compact(lake_dir: str | Path, table: str = "sequences",
                  if v.get("lsn_high") is not None]
         watermark_lsn = max(highs) if highs else 0
     epoch = commit["epoch"] + 1
-    items = [{"part": int(p), "rels": [f for f in [v.get("file")] + list(v.get("deltas", [])) if f is not None]}
+    items = [{"part": int(p), "rels": partition_files(v)}
              for p, v in commit["partitions"].items()]
 
     def rewrite(batch: pa.Table) -> pa.Table:
@@ -462,15 +388,10 @@ def compact(lake_dir: str | Path, table: str = "sequences",
                 pc.less_equal(t[INTERNAL_LSN], watermark_lsn),
             )
             kept = t.filter(pc.invert(drop))
-            new_rel = f"part={part:04d}/epoch-{epoch:06d}.parquet"
-            size = atomic_write_table(
-                kept, table_dir / new_rel,
-                compression=cfg.compression, row_group_size=cfg.row_group_size,
-            )
-            live = int(pc.sum(pc.invert(kept[INTERNAL_DELETED])).as_py() or 0)
-            rows.append({"part": part, "file": new_rel, "rows": kept.num_rows,
-                         "live_rows": live, "bytes": size,
-                         "dropped": t.num_rows - kept.num_rows})
+            written = write_partition_snapshot(
+                kept, table_dir, part, epoch, compression=cfg.compression,
+                row_group_size=cfg.row_group_size)
+            rows.append({**written, "dropped": t.num_rows - kept.num_rows})
         return pa.Table.from_pylist(rows)
 
     ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
@@ -483,6 +404,7 @@ def compact(lake_dir: str | Path, table: str = "sequences",
         entry = {
             **old, "file": r["file"], "rows": r["rows"],
             "live_rows": r["live_rows"], "bytes": r["bytes"],
+            "doc_id_min": r["doc_id_min"], "doc_id_max": r["doc_id_max"],
         }
         entry.pop("deltas", None)  # deltas folded into the new snapshot
         partitions[str(r["part"])] = entry

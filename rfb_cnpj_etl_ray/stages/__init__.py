@@ -2,10 +2,10 @@ from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
     INTERNAL_LSN,
     PART_COL,
-    PartitionMerger,
-    ToInternal,
     internal_schema,
     lww_reduce,
+    staged_exchange,
+    write_partition_snapshot,
 )
 
 __all__ = [
@@ -14,6 +14,6 @@ __all__ = [
     "PART_COL",
     "internal_schema",
     "lww_reduce",
-    "ToInternal",
-    "PartitionMerger",
+    "staged_exchange",
+    "write_partition_snapshot",
 ]

@@ -6,18 +6,26 @@ deletes. Because that fold is associative and commutative (max-by-lsn),
 it can run in three shrinking stages without ever seeing a key's full
 history in one place:
 
-  1. **per-batch partial reduce** (stateless ``map_batches``, zero-copy
-     Arrow): collapse each block to one row per ``doc_id`` — this is what
-     tames hot keys (a doc_id with 1M events leaves each block as 1 row)
-     *before* the shuffle, the combiner the reference lacks (its skew
-     "solution" is a static batch-shrink ratio, config.py:32-34);
-  2. optional **salted stage** for pathological keys (salt = lsn %
-     salt_factor spreads ONE key's events over sub-groups);
-  3. **per-partition merge** (``groupby(part).map_groups`` actor pool):
+  1. **phase 1: route + per-batch partial reduce** (stateless
+     ``map_batches``, zero-copy Arrow): collapse each block to one row
+     per ``doc_id`` and append each partition's slice to the staging dir
+     as an Arrow chunk — this is what tames hot keys (a doc_id with 1M
+     events leaves each block as 1 row) *before* the exchange, the
+     combiner the reference lacks (its skew "solution" is a static
+     batch-shrink ratio, config.py:32-34);
+  2. optional **salted phase 2a** for pathologically hot partitions
+     (a doc_id-hash salt spreads ONE partition's fold over
+     ``salt_factor`` tasks);
+  3. **phase 2: per-partition merge** (one task per touched partition):
      concat the partition's committed state — whose rows carry their
      last-applied ``_lsn`` and ``_deleted`` tombstone flag, making them
-     replay-equivalent pseudo-events — with the new events, reduce again,
-     write the next snapshot atomically.
+     replay-equivalent pseudo-events — with the staged chunks, reduce
+     again, write the next snapshot atomically.
+
+``staged_exchange`` drives the three phases; it is the only way the
+engine rewrites partitions from a Dataset (ingest, lake init,
+repartition), and ``write_partition_snapshot`` writes every partition
+file except those of the driver-side ``state.init_lake`` helper.
 
 Keeping ``_lsn``/``_deleted`` in the materialized state means applying
 *any* subset of old events again (duplicated batches, crash-replay,
@@ -30,12 +38,21 @@ upgraded to last-writer-wins.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from rfb_cnpj_etl_ray.hashing import partition_ids
-from rfb_cnpj_etl_ray.spec import conform_table
+from rfb_cnpj_etl_ray.spec import (
+    conform_table,
+    schema_from_jsonable,
+    schema_to_jsonable,
+)
 from rfb_cnpj_etl_ray.state.commitlog import atomic_write_table
 
 INTERNAL_LSN = "_lsn"
@@ -86,7 +103,13 @@ def lww_reduce(table: pa.Table, key: str = "doc_id", lsn: str = INTERNAL_LSN) ->
     — keep one arbitrary copy (payloads are identical by definition)."""
     if table.num_rows == 0:
         return table
-    srt = table.sort_by([(key, "ascending"), (lsn, "ascending")])
+    return _last_per_key(
+        table.sort_by([(key, "ascending"), (lsn, "ascending")]), key)
+
+
+def _last_per_key(srt: pa.Table, key: str) -> pa.Table:
+    """Keep the last row of every run of equal ``key`` values in a table
+    sorted with ``key`` as the innermost-but-one sort column."""
     keys = srt.column(key).combine_chunks()
     if isinstance(keys, pa.ChunkedArray):  # 0- or 1-chunk cases
         keys = keys.chunk(0) if keys.num_chunks else pa.array([], type=keys.type)
@@ -98,93 +121,48 @@ def lww_reduce(table: pa.Table, key: str = "doc_id", lsn: str = INTERNAL_LSN) ->
     return srt.filter(mask)
 
 
-class ToInternal:
-    """Stateless map_batches fn: change-event batch → partition-routed
-    internal rows, partially LWW-reduced.
-
-    Input batch schema: (lsn, op, *payload) — already unified/cast by the
-    reader (schema evolution happens at read time via the evolved schema).
-    Output: (*payload, _lsn, _deleted, __part[, __salt]).
-    """
-
-    def __init__(self, payload_schema: pa.Schema, num_partitions: int,
-                 salt_factor: int = 1, min_lsn_exclusive: int | None = None):
-        self.payload_schema = payload_schema
-        self.num_partitions = num_partitions
-        self.salt_factor = salt_factor
-        # GC safety (same rule as the staged path): events at or below the
-        # compaction watermark must never re-apply — the tombstones they
-        # would have LWW-lost to were already garbage-collected, so
-        # replaying them could resurrect deleted keys.
-        self.min_lsn_exclusive = min_lsn_exclusive
-        self._out_schema = internal_schema(payload_schema)
-
-    def convert_only(self, batch: pa.Table) -> pa.Table:
-        """Change rows → internal+part rows without the partial reduce."""
-        return self(batch, reduce=False)
-
-    def __call__(self, batch: pa.Table, reduce: bool = True) -> pa.Table:
-        if self.min_lsn_exclusive is not None and batch.num_rows:
-            batch = batch.filter(
-                pc.greater(batch.column("lsn"), self.min_lsn_exclusive)
-            )
-        if batch.num_rows == 0:
-            return self._empty()
-        lsn = batch.column("lsn")
-        deleted = pc.equal(batch.column("op"), "D")
-        cols = {n: batch.column(n) for n in self.payload_schema.names}
-        cols[INTERNAL_LSN] = lsn
-        cols[INTERNAL_DELETED] = deleted
-        internal = pa.Table.from_arrays(
-            [cols[f.name] for f in self._out_schema], schema=self._out_schema
-        )
-        reduced = lww_reduce(internal) if reduce else internal
-        parts = partition_ids(reduced.column("doc_id"), self.num_partitions)
-        reduced = reduced.append_column(PART_COL, pa.array(parts, type=pa.int32()))
-        if self.salt_factor > 1:
-            salt = (reduced.column(INTERNAL_LSN).to_numpy() % self.salt_factor)
-            reduced = reduced.append_column(
-                SALT_COL, pa.array(salt.astype(np.int32), type=pa.int32())
-            )
-        return reduced
-
-    def _empty(self) -> pa.Table:
-        sch = internal_schema(self.payload_schema).append(pa.field(PART_COL, pa.int32()))
-        if self.salt_factor > 1:
-            sch = sch.append(pa.field(SALT_COL, pa.int32()))
-        return sch.empty_table()
-
-
-def salted_reduce(group: pa.Table) -> pa.Table:
-    """Stage-2a reducer for hot keys: one LWW pass per (part, salt) group;
-    drops the salt column so the final per-partition merge regroups."""
-    out = lww_reduce(group)
-    if SALT_COL in out.schema.names:
-        out = out.drop_columns([SALT_COL])
-    return out
-
-
 # ---------------------------------------------------------------------------
-# staged filesystem shuffle (the default merge path)
+# the staged filesystem exchange
 # ---------------------------------------------------------------------------
 #
-# Ray's sort/hash groupby is a synchronous object-store all-to-all — at our
-# merge's shape (fixed small partition count, associative fold) a staged
-# two-phase exchange through storage is both faster single-node and the
-# shape real lakehouse ingest uses multi-node (staging dir = shared
-# storage). Phase 1: stateless tasks split each internal batch by
-# partition and append `staging/part=K/<uuid>.parquet`. Phase 2: one task
-# per touched partition merges staged chunks + committed snapshot and
-# stages the next snapshot. Task retries are harmless: duplicate staged
-# chunks collapse in the LWW fold ((doc_id,lsn) ties keep one copy), and
+# At our merge's shape (fixed small partition count, associative fold) a
+# staged two-phase exchange through storage replaces an object-store
+# all-to-all, and it is the shape real lakehouse ingest uses multi-node
+# (staging dir = shared storage). Phase 1: stateless tasks split each
+# internal batch by partition and append
+# `staging/part=K/stage-<uuid>-<offset>.arrow`. Phase 2: one task per
+# touched partition merges staged chunks + committed snapshot and writes
+# the next snapshot. Task retries are harmless: duplicate staged chunks
+# collapse in the LWW fold ((doc_id,lsn) ties keep one copy), and
 # snapshot writes are atomic-rename.
+
+def _internal_rows(batch: pa.Table, payload_schema: pa.Schema,
+                   prep: str = "events") -> pa.Table:
+    """Phase-1 row builder: payload + ``_lsn``/``_deleted`` for every kind
+    of exchange input. ``prep``: "events" — change rows (lsn, op,
+    payload); "base" — snapshot rows, stamped _lsn=0/_deleted=False (lake
+    init); "state" — committed internal rows that already carry both
+    (repartition)."""
+    n = batch.num_rows
+    if prep == "events":
+        lsn, deleted = batch.column("lsn"), pc.equal(batch.column("op"), "D")
+    elif prep == "base":
+        lsn = pa.array(np.zeros(n, np.int64))
+        deleted = pa.array(np.zeros(n, bool))
+    elif prep == "state":
+        lsn = batch.column(INTERNAL_LSN)
+        deleted = batch.column(INTERNAL_DELETED)
+    else:
+        raise ValueError(f"prep must be 'events', 'base' or 'state', got {prep!r}")
+    payload = conform_table(batch, payload_schema)
+    return pa.Table.from_arrays(payload.columns + [lsn, deleted],
+                                schema=internal_schema(payload_schema))
+
 
 def make_stage_partitioner(
     payload_schema: pa.Schema,
     num_partitions: int,
     staging_dir: str,
-    partial_reduce: bool = True,
-    compression: str = "lz4",  # retained for API compat; staging is IPC
     prep: str = "events",
     min_lsn_exclusive: int | None = None,
     worker_threads: int = 1,
@@ -192,12 +170,11 @@ def make_stage_partitioner(
     progress_counter=None,
 ):
     """Build the phase-1 map_batches closure (plain function → elastic
-    task pool, no actor startup cost). ``prep``: "events" converts change
-    batches (lsn, op, payload) to internal rows; "base" stamps snapshot
-    batches with _lsn=0/_deleted=False (lake init).
+    task pool, no actor startup cost): ``_internal_rows`` per batch
+    (``prep`` names the input kind), routed to its hash partition.
 
-    One combined sort by (partition, doc_id, lsn) yields both the
-    partial-reduce run boundaries and contiguous partition slices — a
+    For events, one combined sort by (partition, doc_id, lsn) yields both
+    the partial-reduce run boundaries and contiguous partition slices — a
     single payload gather per batch. Staged chunks are UNCOMPRESSED Arrow
     IPC files: transient shuffle data, written at memory-bandwidth and
     mmap'd zero-copy by phase 2 (the lake snapshots stay zstd Parquet).
@@ -210,39 +187,29 @@ def make_stage_partitioner(
     merger over the reduced buckets) so one pathologically hot
     partition's fold work spreads over ``salt_factor`` tasks."""
     import uuid as _uuid
-    from pathlib import Path as _Path
 
     from rfb_cnpj_etl_ray.hashing import doc_salt_ids
 
-    to_internal = ToInternal(payload_schema, num_partitions)
+    events = prep == "events"
+    salted = salt_factor > 1 and events
 
     def stage(batch: pa.Table) -> pa.Table:
         tune_worker_threads(worker_threads)
         if progress_counter is not None:  # fire-and-forget, off data path
             progress_counter.add.remote(batch.num_rows)
         n_dropped_late = 0
-        if prep == "events":
-            if min_lsn_exclusive is not None:
-                # GC safety: a compaction dropped tombstones up to the
-                # watermark, so events at or below it must never re-apply
-                # (they could resurrect deleted keys). Late arrivals below
-                # the watermark are dropped here, like any CDC system
-                # past its retention horizon.
-                before = batch.num_rows
-                batch = batch.filter(
-                    pc.greater(batch.column("lsn"), min_lsn_exclusive)
-                )
-                n_dropped_late = before - batch.num_rows
-            routed = to_internal.convert_only(batch)
-        else:
-            n = batch.num_rows
-            b = conform_table(batch, payload_schema)
-            b = b.append_column(INTERNAL_LSN, pa.array(np.zeros(n, np.int64)))
-            b = b.append_column(INTERNAL_DELETED,
-                                pa.array(np.zeros(n, bool)))
-            parts = partition_ids(b.column("doc_id"), num_partitions)
-            routed = b.append_column(PART_COL, pa.array(parts, pa.int32()))
-        if routed.num_rows == 0:
+        if events and min_lsn_exclusive is not None:
+            # GC safety: a compaction dropped tombstones up to the
+            # watermark, so events at or below it must never re-apply
+            # (they could resurrect deleted keys). Late arrivals below the
+            # watermark are dropped here, like any CDC system past its
+            # retention horizon.
+            before = batch.num_rows
+            batch = batch.filter(
+                pc.greater(batch.column("lsn"), min_lsn_exclusive)
+            )
+            n_dropped_late = before - batch.num_rows
+        if batch.num_rows == 0:
             if n_dropped_late:
                 # sentinel row: part=-1 carries the late-drop count so the
                 # driver can report it (M6 metrics analog, progress.py)
@@ -251,7 +218,12 @@ def make_stage_partitioner(
                     schema=_stage_stats_schema(),
                 )
             return _stage_stats_schema().empty_table()
-        salted = salt_factor > 1 and prep == "events"
+        routed = _internal_rows(batch, payload_schema, prep)
+        routed = routed.append_column(
+            PART_COL,
+            pa.array(partition_ids(routed.column("doc_id"), num_partitions),
+                     type=pa.int32()),
+        )
         if salted:
             routed = routed.append_column(
                 SALT_COL,
@@ -261,18 +233,11 @@ def make_stage_partitioner(
         sort_prefix = [(PART_COL, "ascending")] + (
             [(SALT_COL, "ascending")] if salted else []
         )
-        if partial_reduce and prep == "events":
-            srt = routed.sort_by(
+        if events:
+            srt = _last_per_key(routed.sort_by(
                 sort_prefix + [("doc_id", "ascending"),
                                (INTERNAL_LSN, "ascending")]
-            )
-            keys = srt.column("doc_id").combine_chunks()
-            n = len(keys)
-            boundary = pc.not_equal(keys.slice(1), keys.slice(0, n - 1))
-            mask = pa.concat_arrays(
-                [boundary.cast(pa.bool_()), pa.array([True], type=pa.bool_())]
-            )
-            srt = srt.filter(mask)
+            ), "doc_id")
         else:
             # no reduce → only partition-contiguity is needed: a single
             # int32-key sort, far cheaper than the 3-key string sort
@@ -295,7 +260,7 @@ def make_stage_partitioner(
         for s, e in zip(starts, ends):
             p = int(parts[s])
             chunk = body.slice(int(s), int(e - s))
-            pdir = _Path(staging_dir) / f"part={p:04d}"
+            pdir = Path(staging_dir) / f"part={p:04d}"
             pdir.mkdir(parents=True, exist_ok=True)
             if salted:
                 name = pdir / f"salt{int(salts[s]):03d}-stage-{uid}-{s}.arrow"
@@ -345,22 +310,17 @@ def make_salt_reducer(staging_dir: str, worker_threads: int = 1):
     COMPLETE per key; phase 2b only merges buckets against the base."""
     import os as _os
     import uuid as _uuid
-    from pathlib import Path as _Path
 
     def reduce_bucket(batch: pa.Table) -> pa.Table:
         tune_worker_threads(worker_threads)
         out = []
         for row in batch.to_pylist():
             part, salt = int(row["part"]), int(row["salt"])
-            pdir = _Path(staging_dir) / f"part={part:04d}"
+            pdir = Path(staging_dir) / f"part={part:04d}"
             chunks = sorted(pdir.glob(f"salt{salt:03d}-stage-*.arrow"))
             if not chunks:
                 continue
-            pieces = []
-            for p in chunks:
-                with pa.memory_map(str(p), "r") as src:
-                    pieces.append(pa.ipc.open_file(src).read_all())
-            folded = lww_reduce(pa.concat_tables(pieces))
+            folded = lww_reduce(pa.concat_tables([_read_chunk(p) for p in chunks]))
             final = pdir / f"stage2-{salt:03d}.arrow"
             tmp = pdir / f"stage2-{salt:03d}.tmp-{_uuid.uuid4().hex[:8]}"
             with pa.OSFile(str(tmp), "wb") as f:
@@ -395,65 +355,34 @@ def make_partition_merger(
     ``write_mode="delta"``: write only the LWW-reduced NEW events as a
     delta file — no base read, no O(partition) rewrite; readers and the
     next cow/compact fold it in (merge-on-read)."""
-    from rfb_cnpj_etl_ray.spec import schema_from_jsonable
-
     payload_schema = schema_from_jsonable(payload_schema_json)
     int_sch = internal_schema(payload_schema)
     files = {int(k): list(v) for k, v in current_files.items()}
+    delta = write_mode == "delta"
 
     def merge(batch: pa.Table) -> pa.Table:
         tune_worker_threads(worker_threads)
-        from pathlib import Path as _Path
-
         out_rows = []
         for part in batch.column("part").to_pylist():
             part = int(part)
-            staged_paths = sorted((_Path(staging_dir) / f"part={part:04d}").glob(
-                chunk_glob))
-            pieces = []
-            for p in staged_paths:
-                with pa.memory_map(str(p), "r") as src:  # zero-copy read
-                    pieces.append(
-                        conform_table(pa.ipc.open_file(src).read_all(), int_sch)
-                    )
+            pdir = Path(staging_dir) / f"part={part:04d}"
+            pieces = [conform_table(_read_chunk(p), int_sch)
+                      for p in sorted(pdir.glob(chunk_glob))]
             if not pieces:
                 continue
             events = lww_reduce(pa.concat_tables(pieces))
-            lsns = events.column(INTERNAL_LSN)
-            if write_mode == "delta":
-                merged = events
-                rel = f"part={part:04d}/delta-{epoch:06d}.parquet"
-                live = None
-            else:
+            merged = events
+            if not delta:
                 base = load_partition_state(table_dir, files.get(part, []),
                                             int_sch)
-                merged = lww_reduce(pa.concat_tables([base, events])) \
-                    if base.num_rows else events
-                # lww_reduce output is already doc_id-sorted (sort+filter
-                # preserve order) — no extra gather before writing.
-                rel = f"part={part:04d}/epoch-{epoch:06d}.parquet"
-                live = int(pc.sum(pc.invert(merged[INTERNAL_DELETED])).as_py() or 0)
-            size = atomic_write_table(
-                merged, _Path(table_dir) / rel,
-                compression=compression, row_group_size=row_group_size,
-            )
-            keys = merged.column("doc_id")
-            out_rows.append(
-                {
-                    "part": part,
-                    "file": rel,
-                    "rows": merged.num_rows,
-                    "live_rows": live,
-                    "bytes": size,
-                    "lsn_high": int(pc.max(lsns).as_py()),
-                    "events_applied": events.num_rows,
-                    # zone-map stats: snapshots are doc_id-sorted, so the
-                    # range prunes point lookups / range scans (the
-                    # engine's secondary-index analog, SURVEY P9)
-                    "doc_id_min": keys[0].as_py() if merged.num_rows else None,
-                    "doc_id_max": keys[-1].as_py() if merged.num_rows else None,
-                }
-            )
+                if base.num_rows:
+                    merged = lww_reduce(pa.concat_tables([base, events]))
+            row = write_partition_snapshot(
+                merged, table_dir, part, epoch, delta=delta,
+                compression=compression, row_group_size=row_group_size)
+            row["lsn_high"] = int(pc.max(events.column(INTERNAL_LSN)).as_py())
+            row["events_applied"] = events.num_rows
+            out_rows.append(row)
         if not out_rows:
             return _manifest_schema().empty_table()
         return pa.Table.from_pylist(out_rows, schema=_manifest_schema())
@@ -461,86 +390,152 @@ def make_partition_merger(
     return merge
 
 
-class PartitionMerger:
-    """Actor-pool ``map_groups`` fn: merge one partition's new events into
-    its committed snapshot and stage the next snapshot file.
+def write_partition_snapshot(
+    table: pa.Table,
+    table_dir: str | Path,
+    part: int,
+    epoch: int,
+    delta: bool = False,
+    compression: str = "zstd",
+    row_group_size: int = 64 * 1024,
+) -> dict:
+    """The one writer of partition files: atomically write ``table``
+    (internal rows) as ``part=K/epoch-N.parquet`` — a full snapshot — or,
+    with ``delta``, as ``part=K/delta-N.parquet`` — a merge-on-read delta
+    whose live-row count stays unknown (None) until the next fold.
 
-    Stateful-stage shape per SURVEY.md §2.3 ST1/ST4: constructed once per
-    actor (holds table paths, schemas, epoch — the analog of the loader
-    thread's long-lived DB connection, sqlite_loader.py:26-39); each call
-    handles one partition group.
+    Returns the file's manifest row. The ``doc_id`` bounds are the zone
+    map point lookups prune with (the engine's secondary-index analog,
+    SURVEY P9)."""
+    kind = "delta" if delta else "epoch"
+    rel = f"part={part:04d}/{kind}-{epoch:06d}.parquet"
+    size = atomic_write_table(table, Path(table_dir) / rel,
+                              compression=compression,
+                              row_group_size=row_group_size)
+    bounds = pc.min_max(table.column("doc_id"))
+    live = None if delta else int(
+        pc.sum(pc.invert(table[INTERNAL_DELETED])).as_py() or 0)
+    return {
+        "part": part,
+        "file": rel,
+        "rows": table.num_rows,
+        "live_rows": live,
+        "bytes": size,
+        "doc_id_min": bounds["min"].as_py(),
+        "doc_id_max": bounds["max"].as_py(),
+    }
 
-    Emits one manifest row per staged partition; the driver-side commit
-    (state.commitlog) is the only global synchronization point.
-    """
 
-    def __init__(
-        self,
-        table_dir: str,
-        epoch: int,
-        current_files: dict[int, "list[str] | str"],
-        payload_schema_json: list[list[str]],
-        compression: str = "zstd",
-        row_group_size: int = 64 * 1024,
-    ):
-        from rfb_cnpj_etl_ray.spec import schema_from_jsonable
+def _read_chunk(path: Path) -> pa.Table:
+    """Read one staged Arrow IPC chunk (memory-mapped, zero-copy)."""
+    with pa.memory_map(str(path), "r") as src:
+        return pa.ipc.open_file(src).read_all()
 
-        self.table_dir = table_dir
-        self.epoch = epoch
-        self.current_files = {
-            int(k): ([v] if isinstance(v, str) else list(v))
-            for k, v in current_files.items()
-        }
-        self.payload_schema = schema_from_jsonable(payload_schema_json)
-        self.int_schema = internal_schema(self.payload_schema)
-        self.compression = compression
-        self.row_group_size = row_group_size
 
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _manifest_schema().empty_table()
-        part = int(group.column(PART_COL)[0].as_py())
-        events = conform_table(
-            group.drop_columns([c for c in (PART_COL, SALT_COL) if c in group.schema.names]),
-            self.int_schema,
-        )
-        base = load_partition_state(
-            self.table_dir, self.current_files.get(part, []), self.int_schema
-        )
-        if base.num_rows:
-            merged = lww_reduce(pa.concat_tables([base, events]))
-        else:
-            merged = lww_reduce(events)
-        merged = merged.sort_by([("doc_id", "ascending")])
+def _staged_task_cpus() -> float:
+    """SMT-aware task sizing: one heavy task per *physical* core. The
+    sort/copy kernels in the exchange are memory-bandwidth-bound; running
+    two per core (hyperthread siblings) measurably anti-scales: 2 CPUs per
+    task when the node advertises SMT-inflated CPU counts (>16), else 1."""
+    import ray
 
-        rel = f"part={part:04d}/epoch-{self.epoch:06d}.parquet"
-        from pathlib import Path
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    return 2.0 if cpus > 16 else 1.0
 
-        size = atomic_write_table(
-            merged,
-            Path(self.table_dir) / rel,
-            compression=self.compression,
-            row_group_size=self.row_group_size,
-        )
-        live = int(pc.sum(pc.invert(merged[INTERNAL_DELETED])).as_py() or 0)
-        lsns = events.column(INTERNAL_LSN)
-        keys = merged.column("doc_id")
-        return pa.Table.from_pylist(
-            [
-                {
-                    "part": part,
-                    "file": rel,
-                    "rows": merged.num_rows,
-                    "live_rows": live,
-                    "bytes": size,
-                    "lsn_high": int(pc.max(lsns).as_py()),
-                    "events_applied": events.num_rows,
-                    "doc_id_min": keys[0].as_py() if merged.num_rows else None,
-                    "doc_id_max": keys[-1].as_py() if merged.num_rows else None,
-                }
-            ],
-            schema=_manifest_schema(),
-        )
+
+class ExchangeResult(NamedTuple):
+    #: one manifest row per written partition (``_manifest_schema``)
+    rows: list[dict]
+    #: events dropped at or below the compaction watermark
+    dropped_late: int
+    #: seconds per phase: setup, stage (phase 1), merge (phases 2a + 2)
+    phase_seconds: dict[str, float]
+
+
+@contextmanager
+def staged_exchange(
+    ds,
+    table_dir: str | Path,
+    epoch: int,
+    payload_schema: pa.Schema,
+    num_partitions: int,
+    cfg,
+    prep: str = "events",
+    write_mode: str = "cow",
+    current_files: dict[int, list[str]] | None = None,
+    min_lsn_exclusive: int | None = None,
+    progress_counter=None,
+    t0: float | None = None,
+):
+    """Rewrite the partitions ``ds`` touches as epoch ``epoch`` — the one
+    way the engine moves rows into partition files (ingest, lake init,
+    repartition). In order: clear the epoch's staging dir (crash
+    leftovers), run phase 1 over ``ds`` (``take_all`` is the barrier),
+    the salted phase 2a when ``cfg.salt_factor > 1`` on events, then
+    phase 2 over the touched partitions; yield an ``ExchangeResult``.
+
+    The caller commits inside the ``with`` block. The staging dir is
+    removed when the block exits normally and kept when it raises (a
+    crash before the commit leaves it for inspection; the next attempt
+    at the same epoch clears it first). ``cfg`` supplies batch size,
+    salt factor and the parquet settings; ``t0`` backdates the setup
+    phase to the caller's start."""
+    import shutil
+
+    import ray.data
+
+    t0 = time.perf_counter() if t0 is None else t0
+    staging = Path(table_dir) / "_staging" / f"epoch-{epoch:06d}"
+    shutil.rmtree(staging, ignore_errors=True)
+    task_cpus = _staged_task_cpus()
+    threads = int(task_cpus)
+    salt_factor = cfg.salt_factor if prep == "events" else 1
+    stage_fn = make_stage_partitioner(
+        payload_schema, num_partitions, str(staging), prep=prep,
+        min_lsn_exclusive=min_lsn_exclusive, worker_threads=threads,
+        salt_factor=salt_factor, progress_counter=progress_counter,
+    )
+    t_stage = time.perf_counter()
+    stats = ds.map_batches(
+        stage_fn, batch_format="pyarrow", batch_size=cfg.batch_size,
+        zero_copy_batch=True, num_cpus=task_cpus,
+    ).take_all()  # tiny (tasks × touched parts); acts as the barrier
+    t_merge = time.perf_counter()
+    dropped_late = sum(r["rows"] for r in stats if r["part"] < 0)
+    touched = sorted({r["part"] for r in stats if r["part"] >= 0})
+    chunk_glob = "stage-*.arrow"
+    if salt_factor > 1:
+        # phase 2a: fold each (part, salt) bucket in parallel — a hot
+        # partition's fold spreads over salt_factor tasks; the salt is a
+        # doc_id hash, so each bucket's fold is complete per key.
+        buckets = [{"part": int(p), "salt": s}
+                   for p in touched for s in range(salt_factor)]
+        ray.data.from_items(
+            buckets, override_num_blocks=max(1, len(buckets))
+        ).map_batches(
+            make_salt_reducer(str(staging), worker_threads=threads),
+            batch_format="pyarrow", batch_size=1, num_cpus=task_cpus,
+        ).take_all()
+        chunk_glob = "stage2-*.arrow"
+    merge_fn = make_partition_merger(
+        str(table_dir), str(staging), epoch, current_files or {},
+        schema_to_jsonable(payload_schema),
+        compression=cfg.compression, row_group_size=cfg.row_group_size,
+        write_mode=write_mode, worker_threads=threads, chunk_glob=chunk_glob,
+    )
+    rows = ray.data.from_items(
+        [{"part": int(p)} for p in touched],
+        override_num_blocks=max(1, len(touched)),
+    ).map_batches(
+        merge_fn, batch_format="pyarrow", batch_size=1, num_cpus=task_cpus,
+    ).take_all()
+    t_end = time.perf_counter()
+    yield ExchangeResult(rows, dropped_late, {
+        "setup": round(t_stage - t0, 3),
+        "stage": round(t_merge - t_stage, 3),
+        "merge": round(t_end - t_merge, 3),
+    })
+    shutil.rmtree(staging, ignore_errors=True)
 
 
 def _manifest_schema() -> pa.Schema:

@@ -37,6 +37,7 @@ from pathlib import Path
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from rfb_cnpj_etl_ray.config import check_num_partitions
 from rfb_cnpj_etl_ray.hashing import partition_ids
 from rfb_cnpj_etl_ray.spec import (
     TableSpec,
@@ -64,6 +65,13 @@ def atomic_write_table(table: pa.Table, path: Path, compression: str = "zstd",
     size = os.path.getsize(tmp)
     os.replace(tmp, path)
     return size
+
+
+def partition_files(entry: dict) -> list[str]:
+    """[base snapshot, *delta files] of one commit-record partition entry
+    (relative paths). A file-less hole yields []."""
+    return [f for f in [entry.get("file"), *entry.get("deltas", [])]
+            if f is not None]
 
 
 class CommitLog:
@@ -141,8 +149,7 @@ class CommitLog:
             return {}
         out = {}
         for k, v in c["partitions"].items():
-            rels = [f for f in [v.get("file")] + list(v.get("deltas", []))
-                    if f is not None]
+            rels = partition_files(v)
             if rels:
                 out[int(k)] = rels
         return out
@@ -204,6 +211,7 @@ def init_lake(
     base snapshot use ``pipelines.ingest.init_lake_distributed`` which
     does the same via Ray Data.
     """
+    check_num_partitions(num_partitions)
     table_dir = Path(lake_dir) / spec.name
     log = CommitLog(table_dir)
     if log.latest() is not None:

@@ -4,7 +4,6 @@ fold must match the oracle exactly; compaction folds deltas away."""
 import json
 
 import pyarrow.parquet as pq
-import pytest
 
 from rfb_cnpj_etl_ray.config import EngineConfig
 from rfb_cnpj_etl_ray.oracle import assert_states_equal, replay
@@ -97,11 +96,6 @@ def test_mixed_cow_then_delta_then_cow(ray_session, tmp_path):
     # the final cow epoch folded the deltas back in
     assert not CommitLog(lake / "sequences").has_deltas()
     assert_states_equal(replay(base, events), read_lake_table(lake))
-
-
-def test_delta_requires_staged_shuffle():
-    with pytest.raises(ValueError, match="delta"):
-        EngineConfig(write_mode="delta", shuffle="groupby").validate()
 
 
 def test_lookup_point_reads(ray_session, tmp_path):

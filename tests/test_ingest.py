@@ -113,27 +113,6 @@ def test_out_of_order_segment_arrival(ray_session, tmp_path):
     assert_states_equal(replay(base, events), read_lake_table(lake))
 
 
-def test_salted_two_stage_merge_matches(ray_session, tmp_path):
-    base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=4,
-                                              shuffle="groupby")
-    ingest(lake, log_dir, cfg=cfg)
-    assert_states_equal(replay(base, events), read_lake_table(lake))
-
-
-def test_groupby_shuffle_path_matches(ray_session, tmp_path):
-    """The Ray-native groupby merge path must produce the same state as
-    the staged filesystem exchange (both vs the oracle)."""
-    base, events, log_dir, lake, cfg = _setup(tmp_path, shuffle="groupby")
-    ingest(lake, log_dir, cfg=cfg)
-    assert_states_equal(replay(base, events), read_lake_table(lake))
-
-
-def test_no_partial_reduce_matches(ray_session, tmp_path):
-    base, events, log_dir, lake, cfg = _setup(tmp_path, partial_reduce=False)
-    ingest(lake, log_dir, cfg=cfg)
-    assert_states_equal(replay(base, events), read_lake_table(lake))
-
-
 def test_read_lake_dataset_view(ray_session, tmp_path):
     base, events, log_dir, lake, cfg = _setup(tmp_path)
     ingest(lake, log_dir, cfg=cfg)
@@ -155,12 +134,11 @@ def test_commit_log_carries_metrics_and_lineage(ray_session, tmp_path):
 
 
 def test_salted_staged_two_stage_merge_matches(ray_session, tmp_path):
-    """salt_factor on the DEFAULT (staged) path: phase-1 writes per-salt
+    """salt_factor on the staged exchange: phase-1 writes per-salt
     buckets, phase-2a folds each bucket, phase-2b merges — final state
     must equal the oracle, and the stage2 reduced chunks must actually
     exist mid-flight (checked via a fail-before-commit probe)."""
-    base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=4,
-                                              shuffle="staged")
+    base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=4)
     # probe: run up to the commit to inspect staging layout
     import dataclasses
     probe = dataclasses.replace(cfg, fail_before_commit=True)
@@ -179,7 +157,6 @@ def test_salted_staged_two_stage_merge_matches(ray_session, tmp_path):
 
 def test_salted_staged_delta_mode_matches(ray_session, tmp_path):
     base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=3,
-                                              shuffle="staged",
                                               write_mode="delta")
     ingest(lake, log_dir, cfg=cfg)
     assert_states_equal(replay(base, events), read_lake_table(lake))

@@ -1,14 +1,14 @@
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from rfb_cnpj_etl_ray.hashing import doc_salt_ids, partition_ids
 from rfb_cnpj_etl_ray.spec import CHANGE_SCHEMA, PAYLOAD_SCHEMA
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
     INTERNAL_LSN,
-    PART_COL,
-    ToInternal,
     internal_schema,
     lww_reduce,
+    make_stage_partitioner,
     strip_internal,
 )
 from rfb_cnpj_etl_ray.synth import make_changelog
@@ -54,29 +54,62 @@ def test_lww_reduce_empty_and_single():
     assert lww_reduce(one).num_rows == 1
 
 
-def test_to_internal_routing_and_reduce():
+def _staged_chunks(staging, pattern):
+    """{(part, chunk name): table} for the staged Arrow chunks phase 1
+    wrote under ``staging``."""
+    out = {}
+    for path in sorted(staging.glob(f"part=*/{pattern}")):
+        with pa.memory_map(str(path), "r") as src:
+            table = pa.ipc.open_file(src).read_all()
+        out[(int(path.parent.name.split("=")[1]), path.name)] = table
+    return out
+
+
+def test_to_internal_routing_and_reduce(tmp_path):
+    """Phase 1 turns change rows into internal rows, routes them and
+    partially reduces them: every staged chunk holds unique doc_ids, all
+    hashed to its part=K dir, each at its key's max-lsn event."""
     ev = make_changelog(2000, 100, seed=3)
-    fn = ToInternal(payload_schema=PAYLOAD_SCHEMA, num_partitions=8)
-    out = fn(ev)
-    # partial reduce: at most one row per doc_id
-    ids = out["doc_id"].to_pylist()
-    assert len(ids) == len(set(ids))
-    parts = out[PART_COL].to_pylist()
-    assert set(parts) <= set(range(8))
-    # same doc_id always maps to same partition
-    fn2 = ToInternal(payload_schema=PAYLOAD_SCHEMA, num_partitions=8)
-    out2 = fn2(ev.slice(0, 500))
-    m1 = dict(zip(out["doc_id"].to_pylist(), parts))
-    for d, p in zip(out2["doc_id"].to_pylist(), out2[PART_COL].to_pylist()):
-        assert m1[d] == p
+    staging = tmp_path / "staging"
+    stats = make_stage_partitioner(PAYLOAD_SCHEMA, 8, str(staging))(ev)
+    chunks = _staged_chunks(staging, "stage-*.arrow")
+    assert chunks
+    last = {}
+    for d, lsn, op in zip(ev["doc_id"].to_pylist(), ev["lsn"].to_pylist(),
+                          ev["op"].to_pylist()):
+        if d not in last or lsn > last[d][0]:
+            last[d] = (lsn, op == "D")
+    seen = {}
+    for (part, _), t in chunks.items():
+        assert t.schema.equals(internal_schema(PAYLOAD_SCHEMA))
+        ids = t["doc_id"].to_pylist()
+        assert len(ids) == len(set(ids))
+        assert (partition_ids(t["doc_id"], 8) == part).all()
+        seen.update(zip(ids, zip(t[INTERNAL_LSN].to_pylist(),
+                                 t[INTERNAL_DELETED].to_pylist())))
+    assert seen == last  # one batch: one row per key overall
+    assert sum(stats["rows"].to_pylist()) == len(last)
 
 
-def test_to_internal_salt():
+def test_to_internal_salt(tmp_path):
+    """salt_factor > 1 splits every partition into doc-hash salt buckets:
+    each ``salt{S}-stage-*`` chunk holds unique doc_ids of partition K
+    and salt S only."""
     ev = make_changelog(1000, 50, seed=4)
-    fn = ToInternal(payload_schema=PAYLOAD_SCHEMA, num_partitions=4, salt_factor=3)
-    out = fn(ev)
-    assert "__salt" in out.schema.names
-    assert set(out["__salt"].to_pylist()) <= {0, 1, 2}
+    staging = tmp_path / "staging"
+    make_stage_partitioner(PAYLOAD_SCHEMA, 4, str(staging), salt_factor=3)(ev)
+    assert not _staged_chunks(staging, "stage-*.arrow")
+    chunks = _staged_chunks(staging, "salt*-stage-*.arrow")
+    salts = set()
+    for (part, name), t in chunks.items():
+        salt = int(name[len("salt"):len("salt") + 3])
+        assert "__salt" not in t.schema.names
+        ids = t["doc_id"].to_pylist()
+        assert len(ids) == len(set(ids))
+        assert (partition_ids(t["doc_id"], 4) == part).all()
+        assert (doc_salt_ids(t["doc_id"], 3) == salt).all()
+        salts.add(salt)
+    assert salts == {0, 1, 2}
 
 
 def test_strip_internal_drops_tombstones():

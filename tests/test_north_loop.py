@@ -29,8 +29,7 @@ def test_north_loop_matches_oracle(ray_session, tmp_path, n_epochs, segs):
     per_seg = per_epoch // segs
     base = make_base(n_docs, seed=42, max_len=32)
     pq.write_table(base, tmp_path / "base.parquet", compression="zstd")
-    cfg = EngineConfig(num_partitions=8, write_mode="delta",
-                       shuffle="staged")
+    cfg = EngineConfig(num_partitions=8, write_mode="delta")
     lake = tmp_path / "lake"
     init_lake_distributed(
         lake, TableSpec(name="sequences", schema=PAYLOAD_SCHEMA),

@@ -222,44 +222,26 @@ def test_repartition_lake_preserves_state_and_routing(ray_session, tmp_path):
     assert_states_equal(replay(base, all_events), read_lake_table(lake))
 
 
-def test_post_compaction_groupby_ingest_drops_late_events(ray_session, tmp_path):
-    """Same GC invariant, but on the shuffle='groupby' code path (the
-    watermark filter lives in ToInternal there, not the staged
-    partitioner) — a late event below the watermark must not resurrect a
-    GC'd delete."""
-    base, events, log_dir, lake, cfg = _mk_lake(tmp_path)
-    state = read_lake_table(lake)
-    r = compact(lake)
-    wm = r["watermark_lsn"]
-    deleted_docs = sorted(
-        set(events.filter(pc.equal(events["op"], "D"))["doc_id"].to_pylist())
-        - set(state["doc_id"].to_pylist())
-    )
-    late = pa.Table.from_pylist(
-        [
-            {"lsn": wm - 1, "op": "U", "doc_id": deleted_docs[0],
-             "tokens": [1, 2], "n_tok": 2, "source": "web"},
-            {"lsn": wm + 1000, "op": "I", "doc_id": "docFRESH01",
-             "tokens": [7], "n_tok": 1, "source": "web"},
-        ],
-        schema=events.schema,
-    )
-    import pyarrow.parquet as pq
+def test_partition_count_below_one_is_rejected(ray_session, tmp_path):
+    """init_lake and repartition_lake refuse num_partitions < 1 before
+    any write: ``x % 0`` would route every row to partition 0, and an
+    init with zero partitions would commit an epoch holding no rows."""
+    from rfb_cnpj_etl_ray.pipelines.maintenance import repartition_lake
 
-    seg = log_dir / "seg-92000.parquet"
-    pq.write_table(late, seg)
-    manifest = json.loads((log_dir / "manifest.json").read_text())
-    manifest["segments"].append({
-        "name": seg.name, "rows": 2, "min_lsn": wm - 1,
-        "max_lsn": wm + 1000, "bytes": seg.stat().st_size,
-    })
-    (log_dir / "manifest.json").write_text(json.dumps(manifest))
-    gb_cfg = EngineConfig(num_partitions=cfg.num_partitions, shuffle="groupby")
-    ingest(lake, log_dir, cfg=gb_cfg)
-    after = read_lake_table(lake)
-    ids = set(after["doc_id"].to_pylist())
-    assert "docFRESH01" in ids          # above watermark: applied
-    assert deleted_docs[0] not in ids   # below watermark: dropped (GC safety)
+    fresh = tmp_path / "fresh"
+    with pytest.raises(ValueError, match=r"num_partitions must be >= 1"):
+        init_lake(fresh, SPEC, base=make_base(10, seed=1), num_partitions=0)
+    assert not fresh.exists()
+
+    base, events, log_dir, lake, cfg = _mk_lake(tmp_path)
+    table_dir = lake / "sequences"
+    epoch = CommitLog(table_dir).latest_epoch()
+    before = read_lake_table(lake)
+    with pytest.raises(ValueError, match=r"num_partitions must be >= 1"):
+        repartition_lake(lake, 0)
+    assert CommitLog(table_dir).latest_epoch() == epoch
+    assert not list(table_dir.glob(f"part=*/*-{epoch + 1:06d}.parquet"))
+    assert_states_equal(before, read_lake_table(lake))
 
 
 def test_delta_ingest_into_partition_hole(ray_session, tmp_path):

@@ -79,9 +79,7 @@ def test_duplicate_task_execution_is_harmless(ray_session, tmp_path):
     log = CommitLog(table_dir)
     last = log.latest()
     staging = table_dir / "_staging" / "epoch-000001"
-    stage_fn = make_stage_partitioner(
-        PAYLOAD_SCHEMA, 4, str(staging), partial_reduce=True
-    )
+    stage_fn = make_stage_partitioner(PAYLOAD_SCHEMA, 4, str(staging))
     # phase 1 executed twice per batch (the "retry")
     for _ in range(2):
         for i in range(3):
