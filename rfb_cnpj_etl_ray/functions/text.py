@@ -5,12 +5,14 @@ flat concatenated byte buffer) — no per-row Python in hot paths. The
 reference has no text stages; these are the north-rule additions a
 100 TB training-data pipeline needs (language-ID, quality scoring, token
 counting, fingerprinting), built with the same stage patterns as the CDC
-engine (stateless map_batches; compiled state in actor __init__).
+engine: stateless map_batches tasks, side inputs broadcast through
+``stages.exchange.fetch``, per-block partials combined by
+``stages.exchange.tree_fold``. No operator here starts an actor.
 """
 
 from __future__ import annotations
 
-import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ import pyarrow as pa
 
 import ray.data
 
-from rfb_cnpj_etl_ray.sources.parquet import pool_size as _pool
+from rfb_cnpj_etl_ray.hashing import partition_ids
+from rfb_cnpj_etl_ray.stages.exchange import fetch, tree_fold
 
 #: BPE-ish pre-tokenizer: letter runs, digit runs, single punctuation.
 BPE_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
@@ -44,56 +47,73 @@ def _read_docs(sf_dir: str, columns=None):
     return read_table(f"{sf_dir}/documents.parquet", columns=columns)
 
 
-def _topk_by_count(partials, key: str, k: int):
-    """Global exact top-k over per-batch partial (key, n) counts: one
-    keyed exchange co-locates each key, every block folds its keys with
-    one pandas groupby and keeps only its local top-k, so the final
-    global sort sees ≤ k×#blocks rows instead of the whole vocabulary.
-    2-3× faster than groupby().aggregate(Sum)+sort at sf0.1 (string-key
-    hash aggregation pays per-aggregator fixed costs the per-block fold
-    doesn't) and strictly less shuffle volume at any scale."""
-    from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
+def _sum_by(keys: list[str], col: str):
+    """``tree_fold`` combine for count partials: sum ``col`` per key."""
+
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(keys, as_index=False)[col].sum()
+
+    return combine
+
+
+#: hash buckets of ``_topk_by_count``'s keyed fold: each bucket's keys
+#: are folded by one task, so a vocabulary wider than one worker's heap
+#: still splits across this many
+_TOPK_BUCKETS = 8
+
+
+def _sum_topk(key: str, k: int):
+    """Fold of (key, n) partial rows: sum per key, keep the k largest
+    (count desc, key asc). Associative over disjoint or repeated keys,
+    so it is both the per-bucket fold and the ``tree_fold`` combine."""
 
     def fold(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            g = df
-        else:
-            g = (df.groupby(key, as_index=False)["n"].sum()
-                 .sort_values(["n", key], ascending=[False, True],
-                              kind="stable").head(k))
-        return pa.table({
-            key: pa.array(g[key] if len(g) else [], pa.string()),
-            "n": pa.array(g["n"] if len(g) else [], pa.int64()),
-        })
+        g = (df.groupby(key, as_index=False)["n"].sum()
+             .sort_values(["n", key], ascending=[False, True],
+                          kind="stable").head(k))
+        return pa.table({key: pa.array(g[key], pa.string()),
+                         "n": pa.array(g["n"], pa.int64())})
 
-    return (repartition_by_key(partials, [key])
-            .map_batches(fold, batch_format="pandas", batch_size=None)
-            .sort(["n", key], descending=[True, False]).limit(k))
+    return fold
 
 
-class TokenCounter:
-    """Stateful stage shape: regexes compiled once per actor (__init__),
-    vectorized counting per batch (__call__)."""
+def _topk_by_count(partials, key: str, k: int):
+    """Global exact top-k over per-batch partial (key, n) counts. Every
+    partial row gets a bucket from ``hashing.partition_ids`` (stable
+    across processes, never builtin ``hash``); Ray Data's task-based
+    sort shuffle groups the buckets, and each group sums its keys and
+    keeps only its local top-k — exact, since a key lives in one bucket.
+    ``tree_fold`` then merges the ≤ k×``_TOPK_BUCKETS`` survivors, so no
+    global sort runs and no step ever holds the whole vocabulary."""
 
-    def __init__(self):
-        self.ws = re.compile(WS_RE)
-        self.bpe = re.compile(BPE_RE)
+    def tag(df: pd.DataFrame) -> pd.DataFrame:
+        df["bucket"] = partition_ids(df[key].to_numpy(), _TOPK_BUCKETS)
+        return df
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch["text"]
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "n_ws_tokens": s.str.count(WS_RE).astype("int64"),
-                "n_bpe_tokens": s.str.count(BPE_RE).astype("int64"),
-            }
-        )
+    fold = _sum_topk(key, k)
+    survivors = (partials.map_batches(tag, batch_format="pandas")
+                 .groupby("bucket").map_groups(fold, batch_format="pandas"))
+    return tree_fold(survivors, fold)
+
+
+def _token_counts(batch: pd.DataFrame) -> pd.DataFrame:
+    """Vectorized whitespace + BPE-ish counts per document (``re`` caches
+    the compiled patterns per process, so a plain function compiles
+    nothing per batch)."""
+    s = batch["text"]
+    return pd.DataFrame(
+        {
+            "doc_id": batch["doc_id"],
+            "n_ws_tokens": s.str.count(WS_RE).astype("int64"),
+            "n_bpe_tokens": s.str.count(BPE_RE).astype("int64"),
+        }
+    )
 
 
 def token_stats(sf_dir: str):
     """Whitespace + BPE-ish token counts per document."""
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        TokenCounter, batch_format="pandas", concurrency=_pool()
+        _token_counts, batch_format="pandas"
     )
 
 
@@ -165,52 +185,45 @@ FROM documents
 """
 
 
-class LanguageId:
+def _language_id(batch: pd.DataFrame) -> pd.DataFrame:
     """Stopword-profile language-ID (n-gram heuristic): score = number of
     words found in each language's profile; argmax wins (ties break to
     the alphabetically-first language), 'und' when no profile word
     occurs. Score reported as integer milli-fraction (score*1000 // n) so
     the DuckDB oracle matches bit-exactly across engines."""
-
-    def __init__(self):
-        self.profiles = {
-            lang: set(ws) for lang, ws in LANG_PROFILES.items()
+    langs = sorted(LANG_PROFILES)
+    words = batch["text"].str.lower().str.findall(WS_RE)
+    counts = words.str.len().to_numpy(dtype=np.int64)
+    n = np.maximum(counts, 1)
+    # flat word buffer + one isin per language + per-doc reduceat —
+    # no per-row Python lambdas
+    flat = np.concatenate(
+        [np.asarray(w, dtype=str) for w in words if len(w)]
+    ) if counts.sum() else np.array([], dtype=str)
+    offsets = np.zeros(len(batch), dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    nonempty = counts > 0
+    scores = np.zeros((len(batch), len(langs)), dtype=np.int64)
+    for j, lang in enumerate(langs):
+        hits = np.isin(flat, list(LANG_PROFILES[lang])).astype(np.int64)
+        if hits.size:
+            scores[nonempty, j] = np.add.reduceat(hits,
+                                                  offsets[nonempty])
+    best = np.argmax(scores, axis=1)
+    best_score = scores[np.arange(len(batch)), best]
+    pred = np.where(best_score > 0, np.array(langs)[best], "und")
+    return pd.DataFrame(
+        {
+            "doc_id": batch["doc_id"],
+            "pred_lang": pred,
+            "lang_score_milli": (best_score * 1000 // n).astype("int64"),
         }
-        self.langs = sorted(self.profiles)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        counts = words.str.len().to_numpy(dtype=np.int64)
-        n = np.maximum(counts, 1)
-        # flat word buffer + one isin per language + per-doc reduceat —
-        # no per-row Python lambdas
-        flat = np.concatenate(
-            [np.asarray(w, dtype=str) for w in words if len(w)]
-        ) if counts.sum() else np.array([], dtype=str)
-        offsets = np.zeros(len(batch), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        nonempty = counts > 0
-        scores = np.zeros((len(batch), len(self.langs)), dtype=np.int64)
-        for j, lang in enumerate(self.langs):
-            hits = np.isin(flat, list(self.profiles[lang])).astype(np.int64)
-            if hits.size:
-                scores[nonempty, j] = np.add.reduceat(hits,
-                                                      offsets[nonempty])
-        best = np.argmax(scores, axis=1)
-        best_score = scores[np.arange(len(batch)), best]
-        pred = np.where(best_score > 0, np.array(self.langs)[best], "und")
-        return pd.DataFrame(
-            {
-                "doc_id": batch["doc_id"],
-                "pred_lang": pred,
-                "lang_score_milli": (best_score * 1000 // n).astype("int64"),
-            }
-        )
+    )
 
 
 def language_id(sf_dir: str):
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        LanguageId, batch_format="pandas", concurrency=_pool()
+        _language_id, batch_format="pandas"
     )
 
 
@@ -393,9 +406,7 @@ FROM documents
 
 def length_histogram(sf_dir: str):
     """Document-length histogram (100-char buckets): per-batch partial
-    counts then a tiny groupby — the schema-profiling aggregate."""
-    from ray.data.aggregate import Sum
-
+    counts, summed by ``tree_fold`` — the schema-profiling aggregate."""
     ds = _read_docs(sf_dir, ["n_chars"])
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
@@ -404,7 +415,7 @@ def length_histogram(sf_dir: str):
         return out
 
     partials = ds.map_batches(bucketize, batch_format="pandas")
-    return partials.groupby("bucket").aggregate(Sum("n_docs", alias_name="n_docs"))
+    return tree_fold(partials, _sum_by(["bucket"], "n_docs"))
 
 
 LENGTH_HISTOGRAM_SQL = """
@@ -642,12 +653,13 @@ def tfidf_top_terms(sf_dir: str):
     Two streaming passes, the canonical small-side-broadcast shape:
 
     1. **df pass** — per batch, distinct (doc, word) pairs reduce to
-       partial document frequencies; a vocabulary-sized ``groupby`` sums
-       them. The vocabulary is sub-linear in corpus size (bounded by the
+       partial document frequencies; ``tree_fold`` sums them. The
+       vocabulary is sub-linear in corpus size (bounded by the
        language, ~10^7 terms at 100 TB), so the resulting idf map is a
-       broadcast table (``ray.put`` once, read per actor), never a
-       per-row shuffle. (If the vocab ever outgrew a broadcast, the same
-       score is one keyed exchange on ``word`` — documented fallback.)
+       broadcast table (``ray.put`` once, ``fetch``ed once per worker
+       process), never a per-row shuffle. (If the vocab ever outgrew a
+       broadcast, the same score is one keyed exchange on ``word`` —
+       documented fallback.)
     2. **score pass** — per batch, term frequencies via one vectorized
        groupby over the flat word buffer; scores looked up from the
        broadcast map; per-doc argmax (ties → lexicographically smallest
@@ -674,42 +686,33 @@ def tfidf_top_terms(sf_dir: str):
         g["df"] = g["df"].astype("int64")
         return g
 
-    from ray.data.aggregate import Sum
-
-    df_tbl = (
-        docs.map_batches(df_partial, batch_format="pandas")
-        .groupby("w").aggregate(Sum("df", alias_name="df"))
-        .to_pandas()
-    )
-    idf = {w: (n_docs * _IDF_SCALE) // int(d)
-           for w, d in zip(df_tbl["w"], df_tbl["df"])}
+    df_tbl = tree_fold(docs.map_batches(df_partial, batch_format="pandas"),
+                       _sum_by(["w"], "df")).to_pandas()
+    idf = {} if df_tbl.empty else {
+        w: (n_docs * _IDF_SCALE) // int(d)
+        for w, d in zip(df_tbl["w"], df_tbl["df"])}
     idf_ref = ray.put(idf)
 
-    class Score:
-        def __init__(self, ref):
-            self.idf = ray.get(ref)
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        doc_rep, flat = _doc_words(batch)
+        if not flat.size:
+            return pd.DataFrame({
+                "doc_id": pd.Series([], dtype="int64"),
+                "top_term": pd.Series([], dtype="object"),
+                "score": pd.Series([], dtype="int64")})
+        tf = (pd.DataFrame({"doc_id": doc_rep, "w": flat})
+              .groupby(["doc_id", "w"], sort=False)
+              .size().reset_index(name="tf"))
+        tf["score"] = (tf["tf"].to_numpy(dtype=np.int64)
+                       * tf["w"].map(fetch(idf_ref)).to_numpy(dtype=np.int64))
+        tf = tf.sort_values(["doc_id", "score", "w"],
+                            ascending=[True, False, True], kind="stable")
+        out = tf.drop_duplicates("doc_id", keep="first")
+        return pd.DataFrame({"doc_id": out["doc_id"].astype("int64"),
+                             "top_term": out["w"],
+                             "score": out["score"].astype("int64")})
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            doc_rep, flat = _doc_words(batch)
-            if not flat.size:
-                return pd.DataFrame({
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "top_term": pd.Series([], dtype="object"),
-                    "score": pd.Series([], dtype="int64")})
-            tf = (pd.DataFrame({"doc_id": doc_rep, "w": flat})
-                  .groupby(["doc_id", "w"], sort=False)
-                  .size().reset_index(name="tf"))
-            tf["score"] = (tf["tf"].to_numpy(dtype=np.int64)
-                           * tf["w"].map(self.idf).to_numpy(dtype=np.int64))
-            tf = tf.sort_values(["doc_id", "score", "w"],
-                                ascending=[True, False, True], kind="stable")
-            out = tf.drop_duplicates("doc_id", keep="first")
-            return pd.DataFrame({"doc_id": out["doc_id"].astype("int64"),
-                                 "top_term": out["w"],
-                                 "score": out["score"].astype("int64")})
-
-    return docs.map_batches(Score, fn_constructor_kwargs={"ref": idf_ref},
-                            batch_format="pandas", concurrency=_pool())
+    return docs.map_batches(score, batch_format="pandas")
 
 
 TFIDF_TOP_TERMS_SQL = f"""
@@ -1089,12 +1092,11 @@ def source_mix_sample(sf_dir: str, k: int = MIX_TOTAL):
     x < 2^52, so engine and oracle compute identical budgets.
 
     Scale shape: the budget pass is a partial per-batch groupby over
-    ~#sources rows (driver holds one row per source — the dimension
-    contract); selection is one keyed exchange on ``source`` + a
-    per-block vectorized rank, the ``stratified_sample`` pattern."""
+    ~#sources rows summed by ``tree_fold`` (driver holds one row per
+    source — the dimension contract); selection is one keyed exchange
+    on ``source`` + a per-block vectorized rank, the
+    ``stratified_sample`` pattern."""
     import math
-
-    from ray.data.aggregate import Sum
 
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
@@ -1102,13 +1104,14 @@ def source_mix_sample(sf_dir: str, k: int = MIX_TOTAL):
         g = batch.groupby("source", as_index=False)["n_chars"].sum()
         return g.rename(columns={"n_chars": "chars"})
 
-    masses = (
+    masses = tree_fold(
         _read_docs(sf_dir, ["source", "n_chars"])
-        .map_batches(mass, batch_format="pandas")
-        .groupby("source").aggregate(Sum("chars", alias_name="chars"))
-        .take_all()
-    )  # one row per source: bounded like every dimension broadcast
-    w = {r["source"]: math.isqrt(int(r["chars"])) for r in masses}
+        .map_batches(mass, batch_format="pandas"),
+        _sum_by(["source"], "chars"),
+    ).to_pandas()  # one row per source: bounded like every dimension broadcast
+    w = {} if masses.empty else {
+        s: math.isqrt(int(c))
+        for s, c in zip(masses["source"], masses["chars"])}
     tot = sum(w.values())
     targets = {s: (k * ws) // tot for s, ws in w.items()}
 
@@ -1362,29 +1365,23 @@ FROM w, unnest(range(0, len(ws), {CHUNK_S})) AS t(i)
 
 def _corpus_token_counts(sf_dir: str):
     """Global (token, count) map over lowercased whitespace tokens, as a
-    plain dict — per-batch ``np.unique`` partials pre-aggregate so the
-    vocabulary-keyed exchange moves ≤|block vocab| rows per block; the
-    fold is the token-count ``groupby`` and the result is sub-linear in
-    corpus size (bounded by the language's vocabulary), so it is a
-    broadcastable small side, the same contract as ``tfidf_top_terms``'s
-    idf map."""
-    from ray.data.aggregate import Sum
+    plain dict — per-batch ``_batch_token_counts`` partials (the
+    ``top_tokens`` kernel, so every consumer tokenizes alike by
+    construction) pre-aggregate to ≤|block vocab| rows per block and
+    ``tree_fold`` sums them. The result is sub-linear in corpus size
+    (bounded by the language's vocabulary), so it is a broadcastable
+    small side, the same contract as ``tfidf_top_terms``'s idf map."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        counts = words.str.len().to_numpy(dtype=np.int64)
-        if not counts.sum():
-            return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                                 "n": pd.Series([], dtype="int64")})
-        flat = np.concatenate([np.asarray(w, dtype=object) for w in words
-                               if len(w)])
-        tok, cnt = np.unique(flat.astype(str), return_counts=True)
-        return pd.DataFrame({"token": tok, "n": cnt.astype(np.int64)})
+        tok, cnt = _batch_token_counts(batch)
+        return pd.DataFrame({"token": pd.Series(tok, dtype="object"),
+                             "n": pd.Series(cnt, dtype="int64")})
 
-    tbl = (_read_docs(sf_dir, ["text"])
-           .map_batches(partial, batch_format="pandas")
-           .groupby("token").aggregate(Sum("n", alias_name="n"))
-           .to_pandas())
+    tbl = tree_fold(_read_docs(sf_dir, ["text"])
+                    .map_batches(partial, batch_format="pandas"),
+                    _sum_by(["token"], "n")).to_pandas()
+    if tbl.empty:
+        return {}
     return dict(zip(tbl["token"], (int(x) for x in tbl["n"])))
 
 
@@ -1397,45 +1394,47 @@ def token_rarity_scores(sf_dir: str):
     of its tokens. Integer-exact on both engines (no log/float).
 
     Scale shape: the corpus count map is the broadcast small side
-    (``ray.put`` once, ``ray.get`` per actor in ``__init__``); the score
+    (``ray.put`` once, ``fetch``ed once per worker process); the score
     pass is one stateless flat-buffer kernel per batch — map counts with
     one vectorized lookup, then per-doc ``minimum.reduceat`` /
-    ``add.reduceat``. No shuffle on the document stream."""
-    import ray
-
+    ``add.reduceat``. No shuffle on the document stream. A token the
+    count pass never saw (the input changed between the two passes)
+    raises ``ValueError`` instead of scoring against a partial map."""
     counts_ref = ray.put(_corpus_token_counts(sf_dir))
 
-    class Score:
-        def __init__(self, ref):
-            self.counts = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            words = batch["text"].str.lower().str.findall(WS_RE)
-            lens = words.str.len().to_numpy(dtype=np.int64)
-            n = len(batch)
-            min_c = np.zeros(n, dtype=np.int64)
-            sum_c = np.zeros(n, dtype=np.int64)
-            if lens.sum():
-                flat = pd.Series(np.concatenate(
-                    [np.asarray(w, dtype=object) for w in words if len(w)]
-                ).astype(str))
-                c = flat.map(self.counts).to_numpy(dtype=np.int64)
-                offsets = np.zeros(n, dtype=np.int64)
-                np.cumsum(lens[:-1], out=offsets[1:])
-                ne = lens > 0
-                min_c[ne] = np.minimum.reduceat(c, offsets[ne])
-                sum_c[ne] = np.add.reduceat(c, offsets[ne])
-            avg_c = np.where(lens > 0, sum_c // np.maximum(lens, 1), 0)
-            return pd.DataFrame({
-                "doc_id": batch["doc_id"].astype("int64"),
-                "n_tokens": lens,
-                "min_tok_count": min_c,
-                "avg_tok_count": avg_c.astype(np.int64),
-            })
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        words = batch["text"].str.lower().str.findall(WS_RE)
+        lens = words.str.len().to_numpy(dtype=np.int64)
+        n = len(batch)
+        min_c = np.zeros(n, dtype=np.int64)
+        sum_c = np.zeros(n, dtype=np.int64)
+        if lens.sum():
+            flat = pd.Series(np.concatenate(
+                [np.asarray(w, dtype=object) for w in words if len(w)]
+            ).astype(str))
+            mapped = flat.map(fetch(counts_ref))
+            if mapped.isna().any():
+                raise ValueError(
+                    f"token_rarity_scores: {int(mapped.isna().sum())} "
+                    f"token(s) of the score pass (e.g. "
+                    f"{flat[mapped.isna()].iloc[0]!r}) are missing from "
+                    f"the count pass (input changed between passes?)")
+            c = mapped.to_numpy(dtype=np.int64)
+            offsets = np.zeros(n, dtype=np.int64)
+            np.cumsum(lens[:-1], out=offsets[1:])
+            ne = lens > 0
+            min_c[ne] = np.minimum.reduceat(c, offsets[ne])
+            sum_c[ne] = np.add.reduceat(c, offsets[ne])
+        avg_c = np.where(lens > 0, sum_c // np.maximum(lens, 1), 0)
+        return pd.DataFrame({
+            "doc_id": batch["doc_id"].astype("int64"),
+            "n_tokens": lens,
+            "min_tok_count": min_c,
+            "avg_tok_count": avg_c.astype(np.int64),
+        })
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        Score, fn_constructor_kwargs={"ref": counts_ref},
-        batch_format="pandas", concurrency=_pool())
+        score, batch_format="pandas")
 
 
 TOKEN_RARITY_SCORES_SQL = """
@@ -1485,8 +1484,6 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
     global top-k ⊆ union of block top-k) so the final sort sees
     ≤ k×blocks rows. The exact-int math runs only on the ≥min_count
     folded table, never per occurrence."""
-    import ray
-
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     uni = _corpus_token_counts(sf_dir)
@@ -1519,48 +1516,39 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
         return pd.DataFrame({"l": lr[:, 0], "r": lr[:, 2],
                              "n": cnt.astype(np.int64)})
 
-    class Fold:
-        def __init__(self, ref, total_tokens: int, k: int, min_count: int):
-            self.uni = ray.get(ref)
-            self.total = total_tokens
-            self.k = k
-            self.min_count = min_count
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            empty = pd.DataFrame({"bigram": pd.Series([], dtype="object"),
-                                  "pmi_ppm": pd.Series([], dtype="int64"),
-                                  "n": pd.Series([], dtype="int64")})
-            if df.empty:
-                return empty
-            g = df.groupby(["l", "r"], as_index=False)["n"].sum()
-            g = g[g["n"] >= self.min_count]
-            if g.empty:
-                return empty
-            # exact big-int PMI on the folded, thresholded table only:
-            # 10^6·T·c(ab) can pass 2^63 at web scale, so Python ints
-            # here and HUGEINT in the oracle; the final column is BIGINT
-            # (asserted) — a >2^63 ppm means c(a)=c(b)=c(ab)=min_count
-            # at T>9e12, loud not wrong
-            ca = g["l"].map(self.uni).astype(object)
-            cb = g["r"].map(self.uni).astype(object)
-            num = g["n"].astype(object) * (1_000_000 * self.total)
-            pmi = (num // (ca * cb)).map(int)
-            out = pd.DataFrame({
-                "bigram": g["l"].astype(str) + " " + g["r"].astype(str),
-                "pmi_ppm": pmi.astype("int64"),
-                "n": g["n"].astype("int64"),
-            })
-            return (out.sort_values(["pmi_ppm", "bigram"],
-                                    ascending=[False, True], kind="stable")
-                    .head(self.k))
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
+        empty = pd.DataFrame({"bigram": pd.Series([], dtype="object"),
+                              "pmi_ppm": pd.Series([], dtype="int64"),
+                              "n": pd.Series([], dtype="int64")})
+        if df.empty:
+            return empty
+        g = df.groupby(["l", "r"], as_index=False)["n"].sum()
+        g = g[g["n"] >= min_count]
+        if g.empty:
+            return empty
+        # exact big-int PMI on the folded, thresholded table only:
+        # 10^6·T·c(ab) can pass 2^63 at web scale, so Python ints
+        # here and HUGEINT in the oracle; the final column is BIGINT
+        # (asserted) — a >2^63 ppm means c(a)=c(b)=c(ab)=min_count
+        # at T>9e12, loud not wrong
+        uni = fetch(uni_ref)
+        ca = g["l"].map(uni).astype(object)
+        cb = g["r"].map(uni).astype(object)
+        num = g["n"].astype(object) * (1_000_000 * total)
+        pmi = (num // (ca * cb)).map(int)
+        out = pd.DataFrame({
+            "bigram": g["l"].astype(str) + " " + g["r"].astype(str),
+            "pmi_ppm": pmi.astype("int64"),
+            "n": g["n"].astype("int64"),
+        })
+        return (out.sort_values(["pmi_ppm", "bigram"],
+                                ascending=[False, True], kind="stable")
+                .head(k))
 
     ds = _read_docs(sf_dir, ["text"]).map_batches(
         partial, batch_format="pandas")
     folded = repartition_by_key(ds, ["l", "r"]).map_batches(
-        Fold, fn_constructor_kwargs={
-            "ref": uni_ref, "total_tokens": total, "k": k,
-            "min_count": min_count},
-        batch_format="pandas", batch_size=None, concurrency=_pool())
+        fold, batch_format="pandas", batch_size=None)
     return folded.sort(["pmi_ppm", "bigram"],
                        descending=[True, False]).limit(k)
 
@@ -1583,7 +1571,7 @@ WITH ws AS (
                  FROM documents))
 SELECT bc.l || ' ' || bc.r AS bigram,
        CAST(CAST(1000000 AS HUGEINT) * tot.t * bc.c_ab
-            // (ul.c * ur.c) AS BIGINT) AS pmi_ppm,
+            // (CAST(ul.c AS HUGEINT) * ur.c) AS BIGINT) AS pmi_ppm,
        CAST(bc.c_ab AS BIGINT) AS n
 FROM bc JOIN uc ul ON ul.w = bc.l JOIN uc ur ON ur.w = bc.r CROSS JOIN tot
 ORDER BY pmi_ppm DESC, bigram ASC LIMIT {PMI_K}
@@ -1679,7 +1667,7 @@ FROM documents GROUP BY 1
 # ---------------------------------------------------------------------------
 # histogram-sketch quantiles — the mergeable fixed-bin alternative to a
 # global sort for order statistics at 100 TB: every batch reduces to a
-# ≤ |source|×bins count vector, one coalesce folds them, and the
+# ≤ |source|×bins count vector, ``tree_fold`` sums them, and the
 # quantile answer is the lower edge of the bin holding the ceil(q·n)-th
 # element (exactly ``quantile_disc`` over the binned values, so a DuckDB
 # oracle pins it). Same family as ``quantity_quantiles`` (exact,
@@ -1707,9 +1695,7 @@ def token_length_histogram(sf_dir: str):
     partials = _read_docs(sf_dir, ["source", "text"]).map_batches(
         bin_partial, batch_format="pandas")
 
-    def quantiles(df: pd.DataFrame) -> pd.DataFrame:
-        folded = df.groupby(["source", "bin"], as_index=False).agg(
-            cnt=("cnt", "sum"))
+    def quantiles(folded: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for src, g in folded.groupby("source", sort=True):
             g = g.sort_values("bin", kind="stable")
@@ -1723,8 +1709,7 @@ def token_length_histogram(sf_dir: str):
         return pd.DataFrame(
             rows, columns=["source"] + [name for _, _, name in _TOKLEN_QS])
 
-    return partials.repartition(1).map_batches(
-        quantiles, batch_format="pandas", batch_size=None)
+    return tree_fold(partials, _sum_by(["source", "bin"], "cnt"), quantiles)
 
 
 TOKEN_LENGTH_HISTOGRAM_SQL = f"""
@@ -1777,8 +1762,8 @@ def cms_token_counts(sf_dir: str):
     stopword query set. Per batch: flatten tokens, hash once, bincount
     each of the 4 pairwise-permuted rows (≤ 4×1024 counter rows per
     block) plus hash-equality exact partials for the 10 query tokens
-    (tagged row = -1 in the same partial stream); one coalesce sums the
-    grid and takes the per-token min across rows. cms_count ≥
+    (tagged row = -1 in the same partial stream); ``tree_fold`` sums the
+    grid and its root takes the per-token min across rows. cms_count ≥
     exact_count always (one-sided CMS error), and both engines
     reproduce both columns bit-for-bit. NB exact_count counts HASH
     matches (identical definition in the SQL); at vocabulary scales
@@ -1816,9 +1801,7 @@ def cms_token_counts(sf_dir: str):
     partials = _read_docs(sf_dir, ["text"]).map_batches(
         partial, batch_format="pandas")
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        folded = df.groupby(["row", "bucket"], as_index=False).agg(
-            cnt=("cnt", "sum"))
+    def finish(folded: pd.DataFrame) -> pd.DataFrame:
         grid = {(int(r), int(b)): int(c) for r, b, c in
                 folded[folded["row"] >= 0].itertuples(index=False)}
         exact = {int(b): int(c) for _, b, c in
@@ -1832,8 +1815,7 @@ def cms_token_counts(sf_dir: str):
         return pd.DataFrame(rows, columns=["token", "cms_count",
                                            "exact_count"])
 
-    return partials.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None)
+    return tree_fold(partials, _sum_by(["row", "bucket"], "cnt"), finish)
 
 
 _CMS_POLY_SQL = (
@@ -1886,14 +1868,32 @@ FROM q
 # through a shuffle; when the benchmark/val set is small (the real-world
 # case: eval suites are MBs, the train corpus is TBs), the right shape
 # is a Bloom filter over the val grams — a fixed 128 KB bitmap broadcast
-# once via ray.put — probed per batch on the train side with ZERO
-# shuffle. The filter is fully deterministic (polynomial gram hash +
+# once (ray.put + stages.exchange.fetch) — probed per batch on the train
+# side with ZERO shuffle. The filter is fully deterministic (polynomial gram hash +
 # pairwise-permuted positions, all mod 2^31-1), so the DuckDB oracle
 # reproduces it bit-for-bit, false positives included.
 # ---------------------------------------------------------------------------
 
 _BLOOM_M = 1 << 20                  # filter width in bits (128 KB packed)
 _BLOOM_PERMS = ((2971, 1234), (6389, 5678), (9973, 91011))
+#: fill rate above which the filter warns: with k=3 positions the
+#: false-positive rate is ≈ fill^3, 1.6% here and 17% at a ×10 stress
+#: run's ~55%
+_BLOOM_FILL_WARN = 0.25
+
+
+def _bloom_fill_check(packed: np.ndarray) -> float:
+    """Fill rate of a packed val-gram bitmap; warns above
+    ``_BLOOM_FILL_WARN`` with the remedy, since a crowded filter turns
+    the decontamination report into mostly false positives."""
+    fill = int(np.unpackbits(packed).sum()) / _BLOOM_M
+    if fill > _BLOOM_FILL_WARN:
+        warnings.warn(
+            f"bloom_decontaminate: the val-gram Bloom filter is "
+            f"{fill:.1%} filled (> {_BLOOM_FILL_WARN:.0%}), so false "
+            f"positives reach ~{fill ** len(_BLOOM_PERMS):.1%} of probes; "
+            f"widen _BLOOM_M (now {_BLOOM_M} bits)", stacklevel=2)
+    return fill
 
 
 def _bloom_positions(h: np.ndarray) -> "list[np.ndarray]":
@@ -1912,12 +1912,13 @@ def bloom_decontaminate(sf_dir: str):
     reproduces the same bitmap exactly.
 
     Scale shape: the build pass emits ONE packed 128 KB bitmap row per
-    batch (constant, whatever the batch holds) which the driver ORs —
-    a bounded ``take_all`` of ≤ #blocks tiny rows, the same class as
-    the manifest folds. The probe pass is an actor pool holding the
-    unpacked bitmap from ``ray.put`` (fetched once per actor, never
-    re-shipped per batch) and runs with NO shuffle at all: each doc
-    lives in one batch, so per-batch distinct-gram counts are final.
+    batch (constant, whatever the batch holds) which ``tree_fold`` ORs
+    in tasks; only the root bitmap reaches the driver, and the root
+    warns when the filter is over ``_BLOOM_FILL_WARN`` full. The probe
+    pass is a stateless task over the unpacked bitmap from ``ray.put``
+    (``fetch``ed once per worker process, never re-shipped per batch)
+    and runs with NO shuffle at all: each doc lives in one batch, so
+    per-batch distinct-gram counts are final.
     Compare ``decontaminate_val``, which pays a full gram exchange to
     get exact (FP-free) overlap — this is the 100 TB fast path when
     the val side fits a constant-size sketch."""
@@ -1937,34 +1938,39 @@ def bloom_decontaminate(sf_dir: str):
         return pa.table(
             {"bits": pa.array([np.packbits(bits).tobytes()], pa.binary())})
 
-    packed = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        val_bits, batch_format="pandas").take_all()
-    bitmap = np.zeros(_BLOOM_M // 8, dtype=np.uint8)
-    for row in packed:
-        bitmap |= np.frombuffer(row["bits"], dtype=np.uint8)
+    def or_bits(df: pd.DataFrame) -> pa.Table:
+        rows = np.frombuffer(b"".join(df["bits"]), dtype=np.uint8)
+        merged = np.bitwise_or.reduce(rows.reshape(-1, _BLOOM_M // 8))
+        return pa.table({"bits": pa.array([merged.tobytes()], pa.binary())})
+
+    def check_fill(df: pd.DataFrame) -> pd.DataFrame:
+        _bloom_fill_check(np.frombuffer(df["bits"].iloc[0], dtype=np.uint8))
+        return df
+
+    root = tree_fold(_read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        val_bits, batch_format="pandas"), or_bits, check_fill).to_pandas()
+    bitmap = (np.frombuffer(root["bits"].iloc[0], dtype=np.uint8)
+              if len(root) else np.zeros(_BLOOM_M // 8, dtype=np.uint8))
     bits_ref = ray.put(np.unpackbits(bitmap).astype(bool))
 
-    class BloomProbe:
-        def __init__(self):
-            self.bits = ray.get(bits_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            g = _shingle_distinct(
-                batch[batch["doc_id"].to_numpy() % 10 < 8])
-            if len(g):
-                h = _cms_word_hashes(g["gram"].to_numpy())
-                ok = np.ones(len(g), dtype=bool)
-                for pos in _bloom_positions(h):
-                    ok &= self.bits[pos]
-                hits = g.loc[ok, "doc_id"].value_counts().sort_index()
-            else:
-                hits = pd.Series([], dtype="int64")
-            return pd.DataFrame({
-                "doc_id": hits.index.to_numpy(dtype=np.int64),
-                "n_bloom_hits": hits.to_numpy(dtype=np.int64)})
+    def probe(batch: pd.DataFrame) -> pd.DataFrame:
+        g = _shingle_distinct(
+            batch[batch["doc_id"].to_numpy() % 10 < 8])
+        if len(g):
+            bits = fetch(bits_ref)
+            h = _cms_word_hashes(g["gram"].to_numpy())
+            ok = np.ones(len(g), dtype=bool)
+            for pos in _bloom_positions(h):
+                ok &= bits[pos]
+            hits = g.loc[ok, "doc_id"].value_counts().sort_index()
+        else:
+            hits = pd.Series([], dtype="int64")
+        return pd.DataFrame({
+            "doc_id": hits.index.to_numpy(dtype=np.int64),
+            "n_bloom_hits": hits.to_numpy(dtype=np.int64)})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        BloomProbe, batch_format="pandas", concurrency=_pool())
+        probe, batch_format="pandas")
 
 
 _BLOOM_POS_SQL = tuple(
@@ -2010,15 +2016,18 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
     """Exact global top-k tokens WITHOUT shuffling the vocabulary: pass
     1 keeps each batch's local top-``_CTK_C`` tokens plus that batch's
     exclusion threshold τ (the largest count it dropped); any token
-    outside the candidate union has global count ≤ Στ. Pass 2 broadcasts
-    the candidate set (``ray.put``, read once per actor) and re-counts
-    ONLY candidates exactly — shuffle volume is ≤ |candidates| rows per
-    block instead of |block vocabulary|. The result is certified exact
+    outside the candidate union has global count ≤ Στ. ``tree_fold``
+    unions the candidates and sums Στ in tasks; only that root reaches
+    the driver. Pass 2 broadcasts the candidate set (``ray.put``,
+    ``fetch``ed once per worker process) and re-counts ONLY candidates
+    exactly, so every partial is ≤ |candidates| rows instead of |block
+    vocabulary|; a second ``tree_fold`` sums them and its root picks the
+    top-k and checks the certificate. The result is certified exact
     iff Στ = 0 (no batch overflowed C) or the k-th candidate count
     strictly exceeds Στ; otherwise the operator fails LOUDLY with the
     remedy (raise C) rather than returning a silently-approximate
-    top-k. Same output contract as ``top_tokens`` (oracle shared), at a
-    constant exchange footprint — the 100 TB heavy-hitter path when the
+    top-k. Same output contract as ``top_tokens`` (oracle shared), with
+    no keyed exchange at all — the 100 TB heavy-hitter path when the
     vocabulary itself is too wide to exchange."""
 
     def local_tops(batch: pd.DataFrame) -> pd.DataFrame:
@@ -2037,28 +2046,29 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
             [out, pd.DataFrame({"token": [""], "n": [tau]})],
             ignore_index=True)
 
-    # bounded driver fold: ≤ (C+1) × #blocks rows, the manifest class
-    rows = _read_docs(sf_dir, ["text"]).map_batches(
-        local_tops, batch_format="pandas").take_all()
-    cands = sorted({r["token"] for r in rows if r["token"]})
-    s_tau = int(sum(r["n"] for r in rows if not r["token"]))
-    cand_ref = ray.put(np.array(cands, dtype=str))
+    # summing per token keeps the candidate union (counts are unused)
+    # and Στ (the "" row) in one combine
+    sum_n = _sum_by(["token"], "n")
+    union = tree_fold(_read_docs(sf_dir, ["text"]).map_batches(
+        local_tops, batch_format="pandas"), sum_n).to_pandas()
+    if union.empty:                       # no tokens at all
+        cands, s_tau = np.array([], dtype=str), 0
+    else:
+        is_tau = union["token"] == ""
+        cands = np.sort(union.loc[~is_tau, "token"].to_numpy(dtype=str))
+        s_tau = int(union.loc[is_tau, "n"].sum())
+    cand_ref = ray.put(cands)
 
-    class CandidateCounter:
-        def __init__(self):
-            self.cands = ray.get(cand_ref)
+    def count_candidates(batch: pd.DataFrame) -> pd.DataFrame:
+        tok, cnt = _batch_token_counts(batch)
+        m = np.isin(tok.astype(str), fetch(cand_ref))  # block vocab only
+        return pd.DataFrame({"token": pd.Series(tok[m], dtype="object"),
+                             "n": pd.Series(cnt[m], dtype="int64")})
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            tok, cnt = _batch_token_counts(batch)
-            m = np.isin(tok.astype(str), self.cands)  # block vocab only
-            return pd.DataFrame({"token": pd.Series(tok[m], dtype="object"),
-                                 "n": pd.Series(cnt[m], dtype="int64")})
-
-    partials = _read_docs(sf_dir, ["text"]).map_batches(
-        CandidateCounter, batch_format="pandas", concurrency=_pool())
-    result = _topk_by_count(partials, "token", k)
+    top = _sum_topk("token", k)
 
     def certify(df: pd.DataFrame) -> pd.DataFrame:
+        df = top(df).to_pandas()
         certified = s_tau == 0 or (
             len(df) == k and int(df["n"].min()) > s_tau)
         if not certified:
@@ -2069,8 +2079,9 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
                 f"candidate width (_CTK_C={_CTK_C})")
         return df
 
-    return result.repartition(1).map_batches(
-        certify, batch_format="pandas", batch_size=None)
+    partials = _read_docs(sf_dir, ["text"]).map_batches(
+        count_candidates, batch_format="pandas")
+    return tree_fold(partials, sum_n, certify)
 
 
 #: same contract, same oracle: the certificate guarantees the cheap
@@ -2092,14 +2103,15 @@ _RQ_QS = ((1, 2, "p50_chars"), (9, 10, "p90_chars"), (99, 100, "p99_chars"))
 
 def refined_quantiles(sf_dir: str):
     """Exact per-language P50/P90/P99 of ``n_chars`` WITHOUT a global
-    sort: pass 1 folds a coarse fixed-width histogram (≤ langs×1024
-    count rows per block — constant in corpus size, the bounded
-    manifest-fold class on the driver) and locates, for each (lang, q),
-    the ONE coarse bin holding the exact rank ``ceil(q·n)`` (exact
-    rational ``(num·n + den − 1) // den`` — no float product); pass 2
-    re-counts exact values ONLY inside those ≤3 target bins per lang
-    (≤ 3×``_RQ_W`` distinct values per lang per block through the
-    exchange) and picks the ranked value from cumulative counts.
+    sort: pass 1 ``tree_fold``s a coarse fixed-width histogram (≤
+    langs×1024 count rows per block — constant in corpus size) and its
+    root locates, for each (lang, q), the ONE coarse bin holding the
+    exact rank ``ceil(q·n)`` (exact rational ``(num·n + den − 1) // den``
+    — no float product), so only ≤ langs×3 target rows reach the
+    driver; pass 2 re-counts exact values ONLY inside those ≤3 target
+    bins per lang (≤ 3×``_RQ_W`` distinct values per lang per block),
+    and a second ``tree_fold``'s root picks the ranked value from
+    cumulative counts.
 
     The quantile twin of ``certified_topk_tokens``: two scans, both
     with constant-size exchanges, exact output — where a one-pass
@@ -2121,31 +2133,35 @@ def refined_quantiles(sf_dir: str):
         return df.groupby(["lang", "bin"], as_index=False).agg(
             cnt=("bin", "size"))
 
-    rows = _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
-        hist_partial, batch_format="pandas").take_all()
-    if not rows:
+    def locate(hist: pd.DataFrame) -> pd.DataFrame:
+        # for each (lang, q): the coarse bin holding rank ceil(q·n) and
+        # the residual rank within it
+        rows_out = []
+        for lang, g in hist.groupby("lang", sort=False):
+            g = g.sort_values("bin")
+            cum = g["cnt"].cumsum().to_numpy()
+            n = int(cum[-1])
+            bins = g["bin"].to_numpy()
+            for num, den, col in _RQ_QS:
+                rank = (num * n + den - 1) // den
+                i = int(np.searchsorted(cum, rank))
+                below = int(cum[i - 1]) if i else 0
+                rows_out.append((lang, col, int(bins[i]), rank - below))
+        return pd.DataFrame(rows_out,
+                            columns=["lang", "col", "bin", "rank_in"])
+
+    located = tree_fold(
+        _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
+            hist_partial, batch_format="pandas"),
+        _sum_by(["lang", "bin"], "cnt"), locate).to_pandas()
+    if located.empty:
         return ray.data.from_pandas(pd.DataFrame({
             "lang": pd.Series([], dtype=object),
             **{col: pd.Series([], dtype="int64")
                for _, _, col in _RQ_QS}}))
-    hist = pd.DataFrame(rows).groupby(
-        ["lang", "bin"], as_index=False)["cnt"].sum()
-
-    # for each (lang, q): the coarse bin holding rank ceil(q·n) and the
-    # residual rank within it
     targets: dict = {}
-    for lang, g in hist.groupby("lang", sort=False):
-        g = g.sort_values("bin")
-        cum = g["cnt"].cumsum().to_numpy()
-        n = int(cum[-1])
-        bins = g["bin"].to_numpy()
-        need = {}
-        for num, den, col in _RQ_QS:
-            rank = (num * n + den - 1) // den
-            i = int(np.searchsorted(cum, rank))
-            below = int(cum[i - 1]) if i else 0
-            need[col] = (int(bins[i]), rank - below)
-        targets[lang] = need
+    for lang, col, b, rank_in in located.itertuples(index=False):
+        targets.setdefault(lang, {})[col] = (int(b), int(rank_in))
 
     def exact_partial(batch: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -2168,8 +2184,7 @@ def refined_quantiles(sf_dir: str):
                                  "cnt": pd.Series([], dtype="int64")})
         return pd.concat(out, ignore_index=True)
 
-    def pick(df: pd.DataFrame) -> pd.DataFrame:
-        counts = df.groupby(["lang", "v"], as_index=False)["cnt"].sum()
+    def pick(counts: pd.DataFrame) -> pd.DataFrame:
         rows_out = []
         for lang in sorted(targets):
             need = targets[lang]
@@ -2192,9 +2207,8 @@ def refined_quantiles(sf_dir: str):
 
     partials = _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
         exact_partial, batch_format="pandas")
-    # the folded counts table is ≤ langs × 3 × _RQ_W rows — one block
-    return partials.repartition(1).map_batches(
-        pick, batch_format="pandas", batch_size=None)
+    # the folded counts table is ≤ langs × 3 × _RQ_W rows
+    return tree_fold(partials, _sum_by(["lang", "v"], "cnt"), pick)
 
 
 REFINED_QUANTILES_SQL = """

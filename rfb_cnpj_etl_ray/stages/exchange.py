@@ -1,16 +1,24 @@
-"""Keyed block exchange: hash-partition a Dataset so every row of a key
-lands in exactly one block, enabling per-BATCH vectorized group work
-(``map_batches(fn, batch_size=None)`` with pandas/Arrow kernels over the
-whole frame) instead of one Python ``map_groups`` dispatch per group —
-the difference between O(keys) Python calls and O(blocks) at 1e8+ keys.
+"""Block exchanges the operators share.
 
-Ray's ``groupby().map_groups`` is the per-group path; this is the
-per-block path the engine's own LWW merge uses (stages/merge.py): shuffle
-once by key hash, then every downstream reduce is a columnar kernel over
-run boundaries.
+* ``repartition_by_key`` — keyed block exchange: hash-partition a
+  Dataset so every row of a key lands in exactly one block, enabling
+  per-BATCH vectorized group work (``map_batches(fn, batch_size=None)``
+  with pandas/Arrow kernels over the whole frame) instead of one Python
+  ``map_groups`` dispatch per group — the difference between O(keys)
+  Python calls and O(blocks) at 1e8+ keys. This is the per-block path
+  the engine's own LWW merge uses (stages/merge.py): shuffle once by key
+  hash, then every downstream reduce is a columnar kernel over run
+  boundaries.
+* ``tree_fold`` — the one combine of per-block partials: a task-only
+  fan-in tree, so only the root's rows reach the driver.
+* ``fetch`` — broadcast side inputs (``ray.put`` refs) into plain
+  stateless tasks, deserialized once per worker process.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 import ray
 import ray.data
@@ -48,3 +56,73 @@ def repartition_by_key(
                         zero_copy_batch=True)
     ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     return ds.repartition(num_blocks=num_blocks, keys=list(keys))
+
+
+#: fan-in of one ``tree_fold`` level. Fixed: a level is one non-shuffle
+#: repartition plus one combine task per output block, so ≤ this many
+#: partial blocks (the common case) fold in a single task.
+FOLD_WIDTH = 16
+
+
+def tree_fold(partials: "ray.data.Dataset", combine, finish=None
+              ) -> "ray.data.Dataset":
+    """Fold per-block partials to ONE block with tasks only.
+
+    ``combine(df) -> df`` merges any subset of partial rows into partial
+    rows of the same schema; it must be associative and commutative
+    (sum, OR, max, top-k over distinct keys), because a level hands it an
+    arbitrary concatenation of blocks. Each level is a non-shuffle
+    ``repartition(⌈n/FOLD_WIDTH⌉)`` followed by
+    ``map_batches(combine, batch_size=None)``, repeated until one block
+    remains; ``finish(df) -> df`` then runs once on that root. The
+    partials are materialized first (their block count sizes the tree);
+    one combine task sees about ``FOLD_WIDTH`` blocks' rows, and nothing
+    reaches the driver until the caller consumes the returned one-block
+    Dataset.
+
+    Partials with no rows have no root: the result is an empty Dataset
+    without columns, and neither function runs.
+    """
+    ds = partials.materialize()
+    if ds.count() == 0:
+        return ray.data.from_items([])
+    n = ds.num_blocks()
+    while True:
+        n = -(-n // FOLD_WIDTH)
+        ds = ds.repartition(n).map_batches(
+            combine, batch_format="pandas", batch_size=None)
+        if n == 1:
+            break
+    if finish is not None:
+        ds = ds.map_batches(finish, batch_format="pandas", batch_size=None)
+    return ds
+
+
+#: broadcast values one worker process keeps deserialized, least
+#: recently used evicted first; a few cover every side input of a pipeline
+FETCH_KEEP = 4
+_fetched: "OrderedDict[bytes, object]" = OrderedDict()
+_fetch_lock = threading.Lock()
+
+
+def fetch(ref: "ray.ObjectRef"):
+    """``ray.get(ref)``, cached per worker process.
+
+    The broadcast path for stateless ``map_batches`` functions: the
+    driver ``ray.put``s a side input once and the function closes over
+    the ref. Ray Data's task workers are pooled processes, so the value
+    is deserialized once per worker, not once per batch — the reuse an
+    actor's ``__init__`` gave, without starting a process per call. Only
+    the last ``FETCH_KEEP`` refs stay cached (keyed by object id, so the
+    cache never holds the ref itself alive).
+    """
+    key = ref.binary()
+    with _fetch_lock:
+        if key in _fetched:
+            _fetched.move_to_end(key)
+            return _fetched[key]
+        value = ray.get(ref)
+        _fetched[key] = value
+        while len(_fetched) > FETCH_KEEP:
+            _fetched.popitem(last=False)
+        return value

@@ -706,3 +706,35 @@ def test_refined_quantiles_adversarial_corpora(ray_session, tmp_path):
     out = normalize(to_pandas(T.refined_quantiles(str(sf))))
     tie = out[out["lang"] == "tie"].iloc[0]
     assert tie["p50_chars"] == tie["p90_chars"] == tie["p99_chars"] == 64
+
+
+def test_token_rarity_input_drift_fails_loud(ray_session, monkeypatch):
+    """A score-pass token missing from the count pass means the input
+    changed between the two passes; the op must name itself and the
+    cause instead of failing in a numpy cast."""
+    full = T._corpus_token_counts(SF_DIR)
+    dropped = max(full, key=full.get)
+    monkeypatch.setattr(
+        T, "_corpus_token_counts",
+        lambda sf: {t: c for t, c in full.items() if t != dropped})
+    with pytest.raises(Exception) as exc_info:
+        to_pandas(T.token_rarity_scores(SF_DIR))
+    msg = str(exc_info.value)
+    assert "token_rarity_scores" in msg and "input changed" in msg
+
+
+def test_bloom_fill_rate_warns_only_above_threshold():
+    """The Bloom filter warns, naming the fill rate and the remedy, once
+    more than a quarter of its bits are set — and stays quiet below."""
+    import warnings
+
+    def packed(fill):
+        bits = np.zeros(T._BLOOM_M, dtype=bool)
+        bits[:int(fill * T._BLOOM_M)] = True
+        return np.packbits(bits)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert T._bloom_fill_check(packed(0.20)) == pytest.approx(0.20)
+    with pytest.warns(UserWarning, match=r"30\.0% filled.*widen _BLOOM_M"):
+        T._bloom_fill_check(packed(0.30))
