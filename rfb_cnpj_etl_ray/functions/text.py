@@ -1,7 +1,11 @@
 """Text-analysis operators for training-data pipelines over ``documents``.
 
-All per-batch kernels are vectorized (pandas .str / regex / numpy over a
-flat concatenated byte buffer) — no per-row Python in hot paths. The
+All per-batch kernels are vectorized (Arrow compute / pandas / numpy
+over a flat token buffer) — no per-row Python in hot paths. Every
+whitespace token is cut by one kernel, ``_words`` (with ``_ngrams`` for
+runs of consecutive tokens), which reproduces the SQL twins'
+``regexp_extract_all(lower(text), '\\S+')`` exactly; ``dedup`` reads
+its tokens from the same two functions. The
 reference has no text stages; these are the north-rule additions a
 100 TB training-data pipeline needs (language-ID, quality scoring, token
 counting, fingerprinting), built with the same stage patterns as the CDC
@@ -18,15 +22,74 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from rfb_cnpj_etl_ray.hashing import partition_ids
 from rfb_cnpj_etl_ray.stages.exchange import fetch, tree_fold
 
+#: RE2's ``\s`` (DuckDB's regex engine, so the whitespace of every SQL
+#: twin) is the space plus these four ASCII controls and nothing else;
+#: Python's ``\s`` also takes \v, \x1c-\x1f, \x85, NBSP, U+2000-200A,
+#: U+3000 and more. Every engine-side whitespace class is built from it.
+WS_CTRL = r"\t\n\f\r"
 #: BPE-ish pre-tokenizer: letter runs, digit runs, single punctuation.
-BPE_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
+BPE_RE = rf"[A-Za-z]+|[0-9]+|[^A-Za-z0-9{WS_CTRL} ]"
+#: the SQL twins' whitespace token (RE2 semantics)
 WS_RE = r"\S+"
+
+
+def _words(texts: pd.Series, lower: bool = True
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's one whitespace tokenizer: ``(flat, lens)`` where
+    ``flat`` is every token of every row in order (numpy object array)
+    and ``lens[i]`` the token count of row ``i`` (zeros kept). Equal to
+    DuckDB's ``regexp_extract_all(lower(text), '\\S+')`` (``lower=False``
+    drops the ``lower``), so engine and SQL twin tokenize alike by
+    construction: lowercasing is Arrow's ``utf8_lower`` (per code point,
+    like DuckDB — 'İ' → 'i', word-final 'Σ' → 'σ', where Python's
+    ``str.lower`` gives 'i̇' and 'ς'), and splitting is on RE2's ``\\s``
+    (``WS_CTRL`` + space). The split maps the four controls to a space
+    and splits on the literal space, dropping empty pieces — the same
+    tokens as a regex split on ``[\\t\\n\\f\\r ]+``, at a fraction of its
+    cost.
+
+    Known oracle gap: the 43 letters Unicode 14 added (U+2C2F, U+A7C0,
+    U+10570, ...) are lowercased by Arrow but not by DuckDB 1.0, whose
+    case tables are older; raw (``lower=False``) tokens match DuckDB on
+    every code point."""
+    arr = pa.array(texts, pa.large_string())
+    if lower:
+        arr = pc.utf8_lower(arr)
+    parts = pc.split_pattern(
+        pc.replace_substring_regex(arr, f"[{WS_CTRL}]", " "), " ")
+    flat = pc.list_flatten(parts)
+    keep = pc.not_equal(flat, "")
+    lens = np.bincount(pc.list_parent_indices(parts).filter(keep).to_numpy(),
+                       minlength=len(arr))
+    # to_pandas interns repeated tokens: half the cost of to_numpy here
+    return flat.filter(keep).to_pandas().to_numpy(), lens
+
+
+def _ngrams(flat: np.ndarray, lens: np.ndarray, n: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, gram)`` for every run of ``n`` consecutive tokens inside
+    one row of a ``_words`` buffer, tokens joined by ``" "``, in buffer
+    order (so ``row`` ascends); a row with fewer than ``n`` tokens gives
+    none — the ``ws[i] || ' ' || … || ws[i + n - 1]`` of the SQL twins.
+    One Arrow ``take`` gathers the members and one ``binary_join`` glues
+    them."""
+    row = np.repeat(np.arange(len(lens)), lens)
+    start = np.flatnonzero(row[: max(len(row) - n + 1, 0)] == row[n - 1:])
+    idx = (start[:, None] + np.arange(n)).ravel()
+    members = pa.ListArray.from_arrays(
+        pa.array(np.arange(0, len(idx) + 1, n), pa.int32()),
+        pa.array(flat, pa.large_string()).take(idx))
+    return row[start], pc.binary_join(
+        members, pa.scalar(" ", pa.large_string())).to_numpy(
+        zero_copy_only=False)
+
 
 STOPWORDS = ("the", "and", "of", "a", "to", "in", "is", "for", "on", "with")
 
@@ -97,15 +160,14 @@ def _topk_by_count(partials, key: str, k: int):
 
 
 def _token_counts(batch: pd.DataFrame) -> pd.DataFrame:
-    """Vectorized whitespace + BPE-ish counts per document (``re`` caches
-    the compiled patterns per process, so a plain function compiles
-    nothing per batch)."""
-    s = batch["text"]
+    """Vectorized whitespace + BPE-ish counts per document; the BPE
+    count runs on Arrow's RE2, the regex engine of the SQL twin."""
     return pd.DataFrame(
         {
             "doc_id": batch["doc_id"],
-            "n_ws_tokens": s.str.count(WS_RE).astype("int64"),
-            "n_bpe_tokens": s.str.count(BPE_RE).astype("int64"),
+            "n_ws_tokens": _words(batch["text"], lower=False)[1],
+            "n_bpe_tokens": pc.count_substring_regex(
+                pa.array(batch["text"]), BPE_RE).to_numpy().astype("int64"),
         }
     )
 
@@ -128,7 +190,7 @@ FROM documents
 def quality_scores(sf_dir: str):
     """Heuristic quality features: char count, word count, average word
     length, stopword ratio — the standard cheap pre-filters for web-scale
-    corpus cleaning, all as vectorized pandas string kernels.
+    corpus cleaning, all as vectorized string kernels.
 
     Ratios are reported in exact integer millis (⌊1000·num/den⌋) so the
     values are bit-identical across engines — float rounding rules
@@ -137,16 +199,13 @@ def quality_scores(sf_dir: str):
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         s = batch["text"]
-        words = s.str.findall(WS_RE)
-        n_words = words.str.len().astype("int64")
+        flat, counts = _words(s)
+        n_words = pd.Series(counts, index=batch.index)
         n_chars = s.str.len().astype("int64")
-        word_chars = s.str.replace(r"\s", "", regex=True).str.len().astype("int64")
+        word_chars = pc.utf8_length(pc.replace_substring_regex(
+            pa.array(s), f"[{WS_CTRL} ]", "")).to_numpy().astype(np.int64)
         # stopword count over the flat word buffer: one isin + one
         # reduceat for the whole batch (no per-row Python)
-        counts = n_words.to_numpy()
-        flat = np.concatenate(
-            [np.char.lower(np.asarray(w, dtype=str)) for w in words
-             if len(w)]) if counts.sum() else np.array([], dtype=str)
         hits = np.isin(flat, list(stop_set)).astype(np.int64)
         offsets = np.zeros(len(batch), dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
@@ -192,14 +251,10 @@ def _language_id(batch: pd.DataFrame) -> pd.DataFrame:
     occurs. Score reported as integer milli-fraction (score*1000 // n) so
     the DuckDB oracle matches bit-exactly across engines."""
     langs = sorted(LANG_PROFILES)
-    words = batch["text"].str.lower().str.findall(WS_RE)
-    counts = words.str.len().to_numpy(dtype=np.int64)
-    n = np.maximum(counts, 1)
     # flat word buffer + one isin per language + per-doc reduceat —
     # no per-row Python lambdas
-    flat = np.concatenate(
-        [np.asarray(w, dtype=str) for w in words if len(w)]
-    ) if counts.sum() else np.array([], dtype=str)
+    flat, counts = _words(batch["text"])
+    n = np.maximum(counts, 1)
     offsets = np.zeros(len(batch), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     nonempty = counts > 0
@@ -533,12 +588,9 @@ def _batch_token_counts(batch: pd.DataFrame
     ``top_tokens`` and ``certified_topk_tokens`` (their equality is the
     latter's contract, so they must tokenize identically by
     construction). Empty batches yield two empty arrays."""
-    words = batch["text"].str.lower().str.findall(WS_RE)
-    counts = words.str.len().to_numpy(dtype=np.int64)
+    flat, counts = _words(batch["text"])
     if not counts.sum():
         return (np.array([], dtype=object), np.array([], dtype=np.int64))
-    flat = np.concatenate([np.asarray(w, dtype=object) for w in words
-                           if len(w)])
     tok, cnt = np.unique(flat.astype(str), return_counts=True)
     return tok.astype(object), cnt.astype(np.int64)
 
@@ -762,7 +814,8 @@ def curate_corpus(sf_dir: str):
 
     def classify(df: pd.DataFrame) -> pd.DataFrame:
         n = df["n_chars"].to_numpy(dtype=np.int64)
-        digits = df["text"].str.count(r"[0-9]").to_numpy(dtype=np.int64)
+        digits = pc.count_substring_regex(
+            pa.array(df["text"]), "[0-9]").to_numpy().astype(np.int64)
         digit_milli = np.where(n > 0, digits * 1000 // np.maximum(n, 1), 0)
         status = np.select(
             [n < _CURATE_MIN_CHARS,
@@ -801,32 +854,17 @@ BIGRAM_K = 20
 def bigram_topk(sf_dir: str, k: int = BIGRAM_K):
     """Global top-K adjacent word pairs — phrase-level heavy hitters
     (``top_tokens``'s unigram report misses collocations). Scale shape:
-    bigrams never cross documents, so the per-batch partial is one flat
-    word buffer + a boundary mask + ``np.unique`` over the joined pairs;
+    bigrams never cross documents, so the per-batch partial is one
+    ``_ngrams`` pass + ``np.unique`` over the joined pairs;
     the shuffle moves ≤|block bigram vocabulary| rows per block, and the
     per-block fold keeps k rows so the final sort sees k×#blocks."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"bigram": pd.Series([], dtype="object"),
-                              "n": pd.Series([], dtype="int64")})
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        lens = words.str.len().to_numpy(dtype=np.int64)
-        total = int(lens.sum())
-        if total < 2:
-            return empty
-        flat = np.concatenate([np.asarray(w, dtype=object)
-                               for w in words if len(w)])
-        # pair (i, i+1) is a bigram only when both words share a doc:
-        # mask out each doc's LAST word as a pair start
-        ends = np.cumsum(lens[lens > 0])
-        valid = np.ones(total - 1, dtype=bool)
-        valid[ends[:-1] - 1] = False
-        left = pd.Series(flat[:-1][valid], dtype=object)
-        right = pd.Series(flat[1:][valid], dtype=object)
-        if left.empty:
-            return empty
-        bg, cnt = np.unique((left + " " + right).to_numpy(dtype=object)
-                            .astype(str), return_counts=True)
+        _, pairs = _ngrams(*_words(batch["text"]), 2)
+        if not len(pairs):
+            return pd.DataFrame({"bigram": pd.Series([], dtype="object"),
+                                 "n": pd.Series([], dtype="int64")})
+        bg, cnt = np.unique(pairs.astype(str), return_counts=True)
         return pd.DataFrame({"bigram": bg, "n": cnt.astype(np.int64)})
 
     ds = _read_docs(sf_dir, ["text"]).map_batches(
@@ -855,34 +893,14 @@ DECON_N = 5  # shingle width in words
 
 def _shingle_distinct(batch: pd.DataFrame) -> pd.DataFrame:
     """DISTINCT (doc_id, gram) ``DECON_N``-word shingles of the given
-    rows — flat word buffer + shifted-slice string concat, no per-row
-    Python. Each doc lives in one batch, so the per-batch dedup is
-    global. Shared by the exchange-based (``decontaminate_val``) and
-    broadcast-Bloom (``bloom_decontaminate``) decontamination paths."""
-    empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                          "gram": pd.Series([], dtype="object")})
-    if batch.empty:
-        return empty
-    words = batch["text"].str.lower().str.findall(WS_RE)
-    lens = words.str.len().to_numpy(dtype=np.int64)
-    total = int(lens.sum())
-    if total < DECON_N:
-        return empty
-    flat = np.concatenate([np.asarray(w, dtype=object)
-                           for w in words if len(w)])
-    doc_of = np.repeat(batch["doc_id"].to_numpy()[lens > 0],
-                       lens[lens > 0])
-    # start i is a shingle iff word i+N-1 is still the same doc
-    valid = doc_of[: total - (DECON_N - 1)] == doc_of[DECON_N - 1:]
-    if not valid.any():
-        return empty
-    g = pd.Series(flat[: total - (DECON_N - 1)], dtype=object)
-    for j in range(1, DECON_N):
-        g = g + " " + pd.Series(
-            flat[j: total - (DECON_N - 1) + j], dtype=object)
+    rows — one ``_ngrams`` pass, no per-row Python. Each doc lives in
+    one batch, so the per-batch dedup is global. Shared by the
+    exchange-based (``decontaminate_val``) and broadcast-Bloom
+    (``bloom_decontaminate``) decontamination paths."""
+    row, gram = _ngrams(*_words(batch["text"]), DECON_N)
     return pd.DataFrame({
-        "doc_id": doc_of[: total - (DECON_N - 1)][valid],
-        "gram": g.to_numpy(dtype=object)[valid],
+        "doc_id": batch["doc_id"].to_numpy(dtype=np.int64)[row],
+        "gram": gram,
     }).drop_duplicates()
 
 
@@ -975,8 +993,7 @@ def repetition_scores(sf_dir: str):
     Python."""
 
     def rep(batch: pd.DataFrame) -> pd.DataFrame:
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        lens = words.str.len().to_numpy(dtype=np.int64)
+        flat, lens = _words(batch["text"])
         n = len(batch)
         n_words = lens
         zeros = np.zeros(n, dtype=np.int64)
@@ -986,8 +1003,6 @@ def repetition_scores(sf_dir: str):
             top_bigram = zeros
             n_bigrams = zeros
         else:
-            flat = np.concatenate([np.asarray(w, dtype=object)
-                                   for w in words if len(w)])
             doc_idx = np.repeat(np.arange(n), lens)
             wc = (
                 pd.DataFrame({"d": doc_idx, "w": flat})
@@ -998,28 +1013,18 @@ def repetition_scores(sf_dir: str):
             n_distinct[g.size().index.to_numpy()] = g.size().to_numpy()
             top_word = zeros.copy()
             top_word[g.max().index.to_numpy()] = g.max().to_numpy()
-            # within-doc bigrams: boundary-masked adjacent pairs over the
-            # same flat buffer (the bigram_topk kernel, per-doc maxima)
-            total = int(lens.sum())
+            # within-doc bigrams over the same flat buffer (the
+            # bigram_topk kernel, per-doc maxima)
             n_bigrams = np.maximum(lens - 1, 0)
-            if total >= 2:
-                ends = np.cumsum(lens[lens > 0])
-                valid = np.ones(total - 1, dtype=bool)
-                valid[ends[:-1] - 1] = False
-                left = pd.Series(flat[:-1][valid], dtype=object)
-                right = pd.Series(flat[1:][valid], dtype=object)
-                top_bigram = zeros.copy()
-                if not left.empty:
-                    bd = doc_idx[: total - 1][valid]
-                    bc = (
-                        pd.DataFrame({"d": bd,
-                                      "b": (left + " " + right).to_numpy()})
-                        .groupby(["d", "b"], sort=False).size()
-                        .groupby(level=0).max()
-                    )
-                    top_bigram[bc.index.to_numpy()] = bc.to_numpy()
-            else:
-                top_bigram = zeros
+            bd, pairs = _ngrams(flat, lens, 2)
+            top_bigram = zeros.copy()
+            if len(pairs):
+                bc = (
+                    pd.DataFrame({"d": bd, "b": pairs})
+                    .groupby(["d", "b"], sort=False).size()
+                    .groupby(level=0).max()
+                )
+                top_bigram[bc.index.to_numpy()] = bc.to_numpy()
         safe_w = np.maximum(n_words, 1)
         safe_b = np.maximum(n_bigrams, 1)
         return pd.DataFrame({
@@ -1191,29 +1196,14 @@ def dup_span_stats(sf_dir: str):
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     def spans(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                              "gram": pd.Series([], dtype="object"),
-                              "n_pos": pd.Series([], dtype="int64")})
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        lens = words.str.len().to_numpy(dtype=np.int64)
-        total = int(lens.sum())
-        if total < DUP_N:
-            return empty
-        flat = np.concatenate([np.asarray(w, dtype=object)
-                               for w in words if len(w)])
-        doc_of = np.repeat(batch["doc_id"].to_numpy()[lens > 0],
-                           lens[lens > 0])
-        # start i is a span iff word i+N-1 still belongs to the same doc
-        valid = doc_of[: total - (DUP_N - 1)] == doc_of[DUP_N - 1:]
-        if not valid.any():
-            return empty
-        g = pd.Series(flat[: total - (DUP_N - 1)], dtype=object)
-        for j in range(1, DUP_N):
-            g = g + " " + pd.Series(
-                flat[j: total - (DUP_N - 1) + j], dtype=object)
+        row, gram = _ngrams(*_words(batch["text"]), DUP_N)
+        if not len(gram):
+            return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
+                                 "gram": pd.Series([], dtype="object"),
+                                 "n_pos": pd.Series([], dtype="int64")})
         return (
-            pd.DataFrame({"doc_id": doc_of[: total - (DUP_N - 1)][valid],
-                          "gram": g.to_numpy(dtype=object)[valid]})
+            pd.DataFrame({"doc_id": batch["doc_id"].to_numpy()[row],
+                          "gram": gram})
             .groupby(["doc_id", "gram"], as_index=False, sort=False)
             .size().rename(columns={"size": "n_pos"})
         )
@@ -1311,13 +1301,9 @@ def chunk_sequences(sf_dir: str):
                               "chunk_id": pd.Series([], dtype="int64"),
                               "n_tok": pd.Series([], dtype="int64"),
                               "chunk_text": pd.Series([], dtype="object")})
-        words = batch["text"].str.findall(WS_RE)
-        lens = words.str.len().to_numpy(dtype=np.int64)
-        total = int(lens.sum())
-        if total == 0:
+        flat, lens = _words(batch["text"], lower=False)
+        if not lens.sum():
             return empty
-        flat = np.concatenate([np.asarray(w, dtype=object)
-                               for w in words if len(w)])
         # chunks per doc: starts 0, S, 2S, ... while start < n_words
         k = np.where(lens > 0, (lens - 1) // CHUNK_S + 1, 0)
         n_chunks = int(k.sum())
@@ -1403,15 +1389,12 @@ def token_rarity_scores(sf_dir: str):
     counts_ref = ray.put(_corpus_token_counts(sf_dir))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        lens = words.str.len().to_numpy(dtype=np.int64)
+        flat, lens = _words(batch["text"])
         n = len(batch)
         min_c = np.zeros(n, dtype=np.int64)
         sum_c = np.zeros(n, dtype=np.int64)
         if lens.sum():
-            flat = pd.Series(np.concatenate(
-                [np.asarray(w, dtype=object) for w in words if len(w)]
-            ).astype(str))
+            flat = pd.Series(flat)
             mapped = flat.map(fetch(counts_ref))
             if mapped.isna().any():
                 raise ValueError(
@@ -1491,27 +1474,14 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
     uni_ref = ray.put(uni)
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"l": pd.Series([], dtype="object"),
-                              "r": pd.Series([], dtype="object"),
-                              "n": pd.Series([], dtype="int64")})
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        lens = words.str.len().to_numpy(dtype=np.int64)
-        tot = int(lens.sum())
-        if tot < 2:
-            return empty
-        flat = np.concatenate([np.asarray(w, dtype=object)
-                               for w in words if len(w)])
-        ends = np.cumsum(lens[lens > 0])
-        valid = np.ones(tot - 1, dtype=bool)
-        valid[ends[:-1] - 1] = False
-        if not valid.any():
-            return empty
-        left = flat[:-1][valid].astype(str)
-        right = flat[1:][valid].astype(str)
+        _, pairs = _ngrams(*_words(batch["text"]), 2)
+        if not len(pairs):
+            return pd.DataFrame({"l": pd.Series([], dtype="object"),
+                                 "r": pd.Series([], dtype="object"),
+                                 "n": pd.Series([], dtype="int64")})
         # one np.unique over the joined pair key, then split back — the
         # separator cannot appear inside \S+ tokens
-        pair, cnt = np.unique(np.char.add(np.char.add(left, " "), right),
-                              return_counts=True)
+        pair, cnt = np.unique(pairs.astype(str), return_counts=True)
         lr = np.char.partition(pair, " ")
         return pd.DataFrame({"l": lr[:, 0], "r": lr[:, 2],
                              "n": cnt.astype(np.int64)})
@@ -1595,13 +1565,15 @@ def export_training_shards(sf_dir: str, n_shards: int = EXPORT_SHARDS):
 
     Scale shape: shard tag + token count are one stateless vectorized
     pass; ONE keyed exchange on ``shard`` co-locates each shard; every
-    block stages its rows as an own-named parquet part under the shard
-    dir (the CDC staged-parts recipe — a retried task can only leave an
-    orphan part, never a double-counted manifest row, because exactly
-    one task attempt's OUTPUT is consumed downstream; production flows
-    commit the manifest through the commit log, state/commitlog.py).
+    block writes each of its shards as one parquet part named by the
+    part's smallest doc_id, staged under a temp name and renamed into
+    place — a retried task or a second consume of the returned Dataset
+    rewrites the same file, never adds one, and exactly one task
+    attempt's OUTPUT reaches the manifest (production flows commit the
+    manifest through the commit log, state/commitlog.py).
     The manifest fold is ≤ n_shards rows. Output dirs live under the
     scratch root (GRAFT_TMP); per-shard dirs are the resume unit."""
+    import os
     import shutil
     import uuid
 
@@ -1619,7 +1591,7 @@ def export_training_shards(sf_dir: str, n_shards: int = EXPORT_SHARDS):
         df = df.copy()
         df["shard"] = (knuth_hash(df["doc_id"].to_numpy())
                        % n_shards).astype("int64")
-        df["n_tok"] = df["text"].str.count(WS_RE).astype("int64")
+        df["n_tok"] = _words(df["text"], lower=False)[1]
         return df
 
     def write_and_count(df: pd.DataFrame) -> pd.DataFrame:
@@ -1635,11 +1607,12 @@ def export_training_shards(sf_dir: str, n_shards: int = EXPORT_SHARDS):
         for shard, g in df.groupby("shard", sort=True):
             d = Path(root_str) / f"shard={int(shard)}"
             d.mkdir(parents=True, exist_ok=True)
+            tmp = d / f".part-{uuid.uuid4().hex}.tmp"
             _pq.write_table(
                 pa.Table.from_pandas(g[["doc_id", "text"]],
                                      preserve_index=False),
-                d / f"part-{uuid.uuid4().hex}.parquet",
-                compression="zstd")
+                tmp, compression="zstd")
+            os.replace(tmp, d / f"part-{int(g['doc_id'].min())}.parquet")
             rows.append((int(shard), len(g), int(g["n_tok"].sum()),
                          int(g["n_chars"].sum())))
         return pd.DataFrame(rows, columns=["shard", "n_docs", "n_tokens",
@@ -1686,7 +1659,7 @@ def token_length_histogram(sf_dir: str):
     16-wide fixed-bin histogram (lower bin edge reported)."""
 
     def bin_partial(df: pd.DataFrame) -> pd.DataFrame:
-        n_ws = df["text"].str.count(WS_RE).astype("int64")
+        n_ws = _words(df["text"], lower=False)[1]
         part = pd.DataFrame({"source": df["source"],
                              "bin": n_ws // _TOKLEN_BIN})
         return part.groupby(["source", "bin"], as_index=False).agg(
@@ -1772,12 +1745,9 @@ def cms_token_counts(sf_dir: str):
     qh = _cms_word_hashes(np.array(_CMS_QUERY, dtype=object))
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        words = batch["text"].str.lower().str.findall(WS_RE)
-        counts = words.str.len().to_numpy(dtype=np.int64)
+        flat, counts = _words(batch["text"])
         frames = []
         if counts.sum():
-            flat = np.concatenate(
-                [np.asarray(w, dtype=object) for w in words if len(w)])
             h = _cms_word_hashes(flat)
             for r, (a, b) in enumerate(_CMS_PERMS):
                 buckets = ((a * h + b) % _CMS_PRIME) % _CMS_WIDTH
@@ -2041,7 +2011,7 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
         out = pd.DataFrame({"token": tok[keep].astype(object),
                             "n": cnt[keep].astype(np.int64)})
         # τ rides the same stream as a row with the impossible token ""
-        # (WS_RE tokens are never empty)
+        # (``_words`` tokens are never empty)
         return pd.concat(
             [out, pd.DataFrame({"token": [""], "n": [tau]})],
             ignore_index=True)

@@ -35,12 +35,16 @@ ORACLE_CASES = [
 
 def test_export_shards_files_cover_corpus_exactly_once(ray_session):
     """The sharded export's on-disk layout (not just its manifest) must
-    hold every doc exactly once, in the shard its hash names."""
+    hold every doc exactly once, in the shard its hash names — also
+    after the returned Dataset is consumed twice (each consume re-runs
+    the writes, as a task retry would)."""
     import pyarrow.parquet as pq
 
     from rfb_cnpj_etl_ray.scratch import scratch_dir
 
-    to_pandas(T.export_training_shards(SF_DIR))  # run the export
+    ds = T.export_training_shards(SF_DIR)
+    to_pandas(ds)  # run the export
+    to_pandas(ds)  # and again
     root = scratch_dir("train_shards", SF_DIR)
     parts = []
     for f in sorted(root.glob("shard=*/part-*.parquet")):
