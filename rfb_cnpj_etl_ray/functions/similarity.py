@@ -726,6 +726,11 @@ from rfb_cnpj_etl_ray.functions.dedup import COSINE_THRESHOLD \
 # cycle); the synthetic embeddings are uniform-random, so the shared
 # 0.3 cutoff (vs a production ~0.95) is what exercises real components
 
+#: largest cluster ``semantic_dedup`` compares densely: its m×m float64
+#: similarity matrix is 512 MiB at 8,192 rows, and one such matrix (plus
+#: the boolean adjacency and the label scratch) must fit a worker's heap
+SEM_DEDUP_MAX_CLUSTER = 8192
+
 
 def semantic_dedup(sf_dir: str, threshold: float = SEM_DEDUP_THRESHOLD):
     """SemDeDup: k-means the embedding space (the shared ``_kmeans_fit``
@@ -745,8 +750,10 @@ def semantic_dedup(sf_dir: str, threshold: float = SEM_DEDUP_THRESHOLD):
     on BOTH engines; components close under min-label propagation
     (bounded per cluster here; the recursive-CTE twin closes the same
     graph). Per-cluster ``map_groups`` holds one cluster in memory —
-    the bounded-block contract ``jaccard_*`` documents; LSH
-    (``embedding_lsh_near_dup``) is the unbounded fallback."""
+    the bounded-block contract ``jaccard_*`` documents; a cluster above
+    ``SEM_DEDUP_MAX_CLUSTER`` rows raises ``ValueError`` instead of
+    allocating its matrix, and LSH (``embedding_lsh_near_dup``) is the
+    unbounded fallback."""
     from rfb_cnpj_etl_ray.numeric import round_half_away
     from rfb_cnpj_etl_ray.sources.parquet import sized_blocks
 
@@ -770,6 +777,14 @@ def semantic_dedup(sf_dir: str, threshold: float = SEM_DEDUP_THRESHOLD):
         assign, fn_kwargs={"ref": ref}, batch_format="pandas")
 
     def dedup_group(g: pd.DataFrame) -> pd.DataFrame:
+        if len(g) > SEM_DEDUP_MAX_CLUSTER:
+            raise ValueError(
+                f"semantic_dedup: cluster {g['cluster'].iloc[0]} has "
+                f"{len(g)} rows, above the {SEM_DEDUP_MAX_CLUSTER}-row cap "
+                f"of its dense similarity matrix ({len(g) ** 2 * 8 >> 20} "
+                f"MiB); raise the cluster count k (KMEANS_K="
+                f"{KMEANS_K}) toward sqrt(N) so clusters shrink, or use "
+                f"embedding_lsh_near_dup, which has no cluster bound")
         order = np.argsort(g["vec_id"].to_numpy())
         ids = g["vec_id"].to_numpy()[order]
         m = np.stack(g["embedding"].to_numpy()[order]).astype(np.float64)

@@ -11,13 +11,15 @@ incremental, exactly-once, resumable replay:
     read_parquet(segments)       (streaming, schema-unified at read)
     staged_exchange:             (stages/merge.py — the one exchange)
       phase 1 map_batches        (routing + partial LWW reduce → staged chunks)
-      [phase 2a per salt bucket] (optional hot-partition stage)
-      phase 2 per partition      (fold with committed state → snapshot)
+      [phase 2a per salt bucket] (optional hot-partition stage, plain tasks)
+      phase 2 per partition      (plain tasks: fold with committed state → snapshot)
     commit-log append            (single atomic synchronization point)
 
-Never materializes the event stream on the driver: the only driver-side
-collects are the tiny per-task stage stats and the per-partition
-manifest table (≤ num_partitions rows).
+Only phase 1 is a Dataset (the one streaming pass over events of any
+volume); phases 2a and 2 are one plain Ray task per bucket or partition
+(``stages.exchange.run_tasks``). Never materializes the event stream on
+the driver: the only driver-side collects are the tiny per-task stage
+stats and the per-partition manifest rows (≤ num_partitions).
 Callers own the Ray session — nothing here calls ray.init().
 """
 
@@ -160,6 +162,7 @@ def ingest(
                         for p in partitions.values()
                     ),
                     "stage_seconds": round(t_staged - t0, 3),
+                    "phase_seconds": exchange.phase_seconds,
                 },
             }
             log.append(record)
@@ -198,18 +201,13 @@ def _next_partitions(prev_partitions: dict, staged: list[dict],
         if write_mode == "delta":
             # merge-on-read: keep the base snapshot, append the delta;
             # physical rows accumulate, logical live count is unknown
-            # until the next fold (compact / cow epoch / read).
-            # a base with UNKNOWN bounds (init_lake commits no zone map)
-            # must yield unknown merged bounds — delta-only bounds would
-            # let lookup() prune partitions that still hold live base rows
-            prev_has_rows = bool(prev.get("file") or prev.get("deltas"))
-            bounds_unknown = prev_has_rows and prev.get("doc_id_min") is None
+            # until the next fold (compact / cow epoch / read). Every
+            # committed file carries its bounds (None only when it has
+            # no rows), so the merged zone map is their union.
             mins = [m for m in (prev.get("doc_id_min"), row["doc_id_min"])
                     if m is not None]
             maxs = [m for m in (prev.get("doc_id_max"), row["doc_id_max"])
                     if m is not None]
-            if bounds_unknown:
-                mins, maxs = [], []
             # first write into a hole (partition with no committed file —
             # possible after init_lake_distributed on an untouched
             # partition): the delta IS the partition's complete LWW state,
@@ -777,6 +775,8 @@ def init_lake_from_dataset(
                     "file": r["file"], "rows": r["rows"],
                     "live_rows": r["live_rows"], "bytes": r["bytes"],
                     "lsn_high": None, "events_applied": 0,
+                    "doc_id_min": r["doc_id_min"],
+                    "doc_id_max": r["doc_id_max"],
                 }
                 for r in staged
             },

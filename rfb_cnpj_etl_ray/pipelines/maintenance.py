@@ -25,11 +25,10 @@ from pathlib import Path
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 from rfb_cnpj_etl_ray.config import EngineConfig, check_num_partitions
 from rfb_cnpj_etl_ray.hashing import partition_ids
 from rfb_cnpj_etl_ray.spec import schema_from_jsonable
+from rfb_cnpj_etl_ray.stages.exchange import run_tasks
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
     INTERNAL_LSN,
@@ -67,59 +66,45 @@ def validate_lake(lake_dir: str | Path, table: str = "sequences",
         for p, v in commit["partitions"].items()
     ]
 
-    def check(batch: pa.Table) -> pa.Table:
+    def check(item: dict) -> dict:
         import os
 
         import pyarrow.parquet as pq
 
         from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
-        out = []
-        for row in batch.to_pylist():
-            part, rels, want_rows = row["part"], row["rels"], row["rows"]
-            errs = []
-            missing = [r for r in rels
-                       if not os.path.exists(os.path.join(str(table_dir), r))]
-            if missing:
-                errs.append("missing_file")
-                out.append({"part": part, "violations": errs, "rows": 0})
-                continue
-            physical = sum(
-                pq.read_metadata(os.path.join(str(table_dir), r)).num_rows
-                for r in rels
-            )
-            if physical != want_rows:
-                errs.append(f"rowcount:{physical}!={want_rows}")
-            # logical (merge-on-read folded) state for the content checks
-            t = load_partition_state(str(table_dir), rels, int_sch)
-            keys = t.column("doc_id")
-            if t.num_rows and len(keys.unique()) != t.num_rows:
-                errs.append("duplicate_keys")
-            if t.num_rows:
-                parts = partition_ids(keys, num_partitions)
-                if not (parts == part).all():
-                    errs.append("misplaced_rows")
-            live = t.filter(pc.equal(t[INTERNAL_DELETED], False))
-            if live.num_rows and "n_tok" in t.schema.names \
-                    and "tokens" in t.schema.names:
-                lens = pc.list_value_length(live.column("tokens"))
-                ok = pc.equal(lens.cast(pa.int64()),
-                              live.column("n_tok").cast(pa.int64()))
-                bad = int(pc.sum(pc.invert(pc.fill_null(ok, False))).as_py() or 0)
-                null_both = int(pc.sum(pc.and_(
-                    pc.is_null(live.column("tokens")),
-                    pc.is_null(live.column("n_tok")))).as_py() or 0)
-                if bad > null_both:  # both-null rows are consistent
-                    errs.append(f"n_tok_mismatch:{bad - null_both}")
-            out.append({"part": part, "violations": errs, "rows": t.num_rows})
-        return pa.Table.from_pylist(out, schema=pa.schema(
-            [pa.field("part", pa.int32()),
-             pa.field("violations", pa.list_(pa.string())),
-             pa.field("rows", pa.int64())]
-        ))
+        part, rels = item["part"], item["rels"]
+        paths = [os.path.join(str(table_dir), r) for r in rels]
+        if not all(os.path.exists(p) for p in paths):
+            return {"part": part, "violations": ["missing_file"], "rows": 0}
+        errs = []
+        physical = sum(pq.read_metadata(p).num_rows for p in paths)
+        if physical != item["rows"]:
+            errs.append(f"rowcount:{physical}!={item['rows']}")
+        # logical (merge-on-read folded) state for the content checks
+        t = load_partition_state(str(table_dir), rels, int_sch)
+        keys = t.column("doc_id")
+        if t.num_rows and len(keys.unique()) != t.num_rows:
+            errs.append("duplicate_keys")
+        if t.num_rows:
+            parts = partition_ids(keys, num_partitions)
+            if not (parts == part).all():
+                errs.append("misplaced_rows")
+        live = t.filter(pc.equal(t[INTERNAL_DELETED], False))
+        if live.num_rows and "n_tok" in t.schema.names \
+                and "tokens" in t.schema.names:
+            lens = pc.list_value_length(live.column("tokens"))
+            ok = pc.equal(lens.cast(pa.int64()),
+                          live.column("n_tok").cast(pa.int64()))
+            bad = int(pc.sum(pc.invert(pc.fill_null(ok, False))).as_py() or 0)
+            null_both = int(pc.sum(pc.and_(
+                pc.is_null(live.column("tokens")),
+                pc.is_null(live.column("n_tok")))).as_py() or 0)
+            if bad > null_both:  # both-null rows are consistent
+                errs.append(f"n_tok_mismatch:{bad - null_both}")
+        return {"part": part, "violations": errs, "rows": t.num_rows}
 
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    results = ds.map_batches(check, batch_format="pyarrow", batch_size=1).take_all()
+    results = run_tasks(check, items)
     violations = {r["part"]: r["violations"] for r in results if r["violations"]}
     report = {
         "table": table,
@@ -309,23 +294,17 @@ def compact_deltas(
         return {"epoch": commit["epoch"], "partitions_folded": 0,
                 "noop": True}
 
-    def fold(batch: pa.Table) -> pa.Table:
+    def fold(item: dict) -> dict:
         from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
         # the fold is lww_reduce output (or one snapshot/delta file that
         # was written from it), so it is already doc_id-sorted
-        return pa.Table.from_pylist([
-            write_partition_snapshot(
-                load_partition_state(str(table_dir), row["rels"], int_sch),
-                table_dir, row["part"], epoch,
-                compression=cfg.compression,
-                row_group_size=cfg.row_group_size)
-            for row in batch.to_pylist()
-        ])
+        return write_partition_snapshot(
+            load_partition_state(str(table_dir), item["rels"], int_sch),
+            table_dir, item["part"], epoch, compression=cfg.compression,
+            row_group_size=cfg.row_group_size)
 
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    results = ds.map_batches(fold, batch_format="pyarrow",
-                             batch_size=1).take_all()
+    results = run_tasks(fold, items)
     partitions = dict(commit["partitions"])
     for r in results:
         old = dict(partitions[str(r["part"])])
@@ -375,27 +354,22 @@ def compact(lake_dir: str | Path, table: str = "sequences",
     items = [{"part": int(p), "rels": partition_files(v)}
              for p, v in commit["partitions"].items()]
 
-    def rewrite(batch: pa.Table) -> pa.Table:
+    def rewrite(item: dict) -> dict:
         from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
-        rows = []
-        for row in batch.to_pylist():
-            part, rels = row["part"], row["rels"]
-            # fold base + deltas (merge-on-read) into one snapshot, then GC
-            t = load_partition_state(str(table_dir), rels, int_sch)
-            drop = pc.and_(
-                pc.equal(t[INTERNAL_DELETED], True),
-                pc.less_equal(t[INTERNAL_LSN], watermark_lsn),
-            )
-            kept = t.filter(pc.invert(drop))
-            written = write_partition_snapshot(
-                kept, table_dir, part, epoch, compression=cfg.compression,
-                row_group_size=cfg.row_group_size)
-            rows.append({**written, "dropped": t.num_rows - kept.num_rows})
-        return pa.Table.from_pylist(rows)
+        # fold base + deltas (merge-on-read) into one snapshot, then GC
+        t = load_partition_state(str(table_dir), item["rels"], int_sch)
+        drop = pc.and_(
+            pc.equal(t[INTERNAL_DELETED], True),
+            pc.less_equal(t[INTERNAL_LSN], watermark_lsn),
+        )
+        kept = t.filter(pc.invert(drop))
+        written = write_partition_snapshot(
+            kept, table_dir, item["part"], epoch,
+            compression=cfg.compression, row_group_size=cfg.row_group_size)
+        return {**written, "dropped": t.num_rows - kept.num_rows}
 
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    results = ds.map_batches(rewrite, batch_format="pyarrow", batch_size=1).take_all()
+    results = run_tasks(rewrite, items)
 
     partitions = dict(commit["partitions"])
     dropped = 0

@@ -25,8 +25,6 @@ from typing import Protocol
 
 import pyarrow as pa
 
-import ray.data
-
 
 class Sink(Protocol):
     """Destination for partitioned table state."""
@@ -110,7 +108,12 @@ def export_lake(
     task per partition folds the partition's logical state (base +
     deltas) and hands it to the sink — streaming, partition-resumable,
     no driver data path."""
-    from rfb_cnpj_etl_ray.spec import schema_to_jsonable
+    from rfb_cnpj_etl_ray.stages.exchange import run_tasks
+    from rfb_cnpj_etl_ray.stages.merge import (
+        internal_schema,
+        load_partition_state,
+        strip_internal,
+    )
     from rfb_cnpj_etl_ray.state.commitlog import CommitLog
 
     if sink not in SINKS:
@@ -120,31 +123,16 @@ def export_lake(
     payload = log.committed_schema()
     if payload is None:
         raise RuntimeError(f"no commits in {table_dir}")
-    sch_json = schema_to_jsonable(payload)
-    file_lists = log.partition_file_lists()
-    items = [{"part": p, "rels": rels} for p, rels in file_lists.items()]
+    int_sch = internal_schema(payload)
+    items = [{"part": p, "rels": rels}
+             for p, rels in log.partition_file_lists().items()]
     the_sink = SINKS[sink](out_dir, **sink_kwargs)
 
-    def write_one(batch: pa.Table) -> pa.Table:
-        from rfb_cnpj_etl_ray.spec import schema_from_jsonable
-        from rfb_cnpj_etl_ray.stages.merge import (
-            internal_schema,
-            load_partition_state,
-            strip_internal,
-        )
+    def write_one(item: dict) -> dict:
+        state = load_partition_state(str(table_dir), item["rels"], int_sch)
+        return the_sink.write_partition(item["part"], strip_internal(state))
 
-        int_sch = internal_schema(schema_from_jsonable(sch_json))
-        rows = []
-        for row in batch.to_pylist():
-            state = strip_internal(
-                load_partition_state(str(table_dir), row["rels"], int_sch)
-            )
-            rows.append(the_sink.write_partition(int(row["part"]), state))
-        return pa.Table.from_pylist(rows)
-
-    ds = ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-    rows = ds.map_batches(write_one, batch_format="pyarrow",
-                          batch_size=1).take_all()
+    rows = run_tasks(write_one, items)
     the_sink.commit(rows)
     return {"sink": the_sink.name, "partitions": len(rows),
             "rows": sum(r["rows"] for r in rows)}

@@ -11,10 +11,10 @@ methods in production); :class:`FlakyTransport` injects deterministic
 mid-transfer faults for the crash tests.
 
 Parallelism (S4, the reference's thread-per-file pool,
-``cnpj_downloader.py``/orchestrator): one Ray task per segment via
-``ray.data.from_items(...).map_batches`` — elastic, retry-safe (a
-re-executed task resumes from the ``.part`` offset or no-ops on the
-finalized file).
+``cnpj_downloader.py``/orchestrator): one plain Ray task per segment via
+``stages.exchange.run_tasks`` — retry-safe (a re-executed task resumes
+from the ``.part`` offset or no-ops on the finalized file), with
+``max_parallel`` as its in-flight window.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ import os
 import time
 from pathlib import Path
 from typing import Protocol
-
-import pyarrow as pa
-
-import ray.data
 
 DEFAULT_CHUNK = 4 * 1024 * 1024
 
@@ -194,37 +190,26 @@ def fetch_segments(
     expected_bytes: dict[str, int] | None = None,
     max_parallel: int | None = None,
 ) -> list[dict]:
-    """Concurrent fetch of many segments: one Ray task per segment (the
-    streaming executor elastically schedules up to the CPU budget; a
-    retried task resumes from its .part offset — no double work, no
-    torn files). ``max_parallel`` caps simultaneous fetch tasks (the
-    reference's ``--workers`` download knob, cnpj_downloader.py)."""
+    """Concurrent fetch of many segments: one Ray task per segment, in
+    name order (a retried task resumes from its .part offset — no double
+    work, no torn files). ``max_parallel`` caps simultaneous fetch tasks
+    (the reference's ``--workers`` download knob,
+    cnpj_downloader.py)."""
+    from rfb_cnpj_etl_ray.stages.exchange import run_tasks
+
     if max_parallel is not None and max_parallel < 1:
         # a falsy 0 must not silently mean "uncapped" — that is the
         # opposite of the request
         raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
-    items = [{"name": n} for n in sorted(names)]
-    if not items:
-        return []
     dest = str(dest_dir)
     expected = expected_bytes or {}
 
-    def fetch(batch: pa.Table) -> pa.Table:
-        rows = [
-            fetch_segment(
-                transport, row["name"], dest, chunk_size=chunk_size,
-                max_retries=max_retries,
-                expected_bytes=expected.get(row["name"]),
-            )
-            for row in batch.to_pylist()
-        ]
-        return pa.Table.from_pylist(rows)
+    def fetch(name: str) -> dict:
+        return fetch_segment(transport, name, dest, chunk_size=chunk_size,
+                             max_retries=max_retries,
+                             expected_bytes=expected.get(name))
 
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    return ds.map_batches(
-        fetch, batch_size=1, batch_format="pyarrow",
-        **({"concurrency": max_parallel} if max_parallel is not None else {}),
-    ).take_all()
+    return run_tasks(fetch, sorted(names), max_in_flight=max_parallel)
 
 
 def fetch_manifest_segments(

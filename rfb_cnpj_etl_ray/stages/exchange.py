@@ -13,6 +13,8 @@
   fan-in tree, so only the root's rows reach the driver.
 * ``fetch`` — broadcast side inputs (``ray.put`` refs) into plain
   stateless tasks, deserialized once per worker process.
+* ``run_tasks`` — one plain Ray task per item for per-partition and
+  per-file control work, without a Dataset.
 """
 
 from __future__ import annotations
@@ -126,3 +128,38 @@ def fetch(ref: "ray.ObjectRef"):
         while len(_fetched) > FETCH_KEEP:
             _fetched.popitem(last=False)
         return value
+
+
+def run_tasks(fn, items, num_cpus: float = 1,
+              max_in_flight: int | None = None) -> list:
+    """Run ``fn(item)`` as one plain Ray task per item and return the
+    results in item order; no ``items`` → ``[]``, nothing submitted.
+
+    The cheap execution mode for control work whose unit is a partition
+    or a file and whose result is a small row (phase 2 of the staged
+    exchange, validation, compaction, export, segment fetch): no
+    streaming executor starts, so a handful of items costs a handful of
+    task launches. The tasks carry the remote args Ray Data gives its
+    own: a dead worker is retried without limit (``max_retries=-1``,
+    plus ``RaySystemError`` raised from task code), while an application
+    error runs once and reaches the caller as its own type. ``fn`` must
+    therefore be safe to run twice on one item (deterministic file
+    names, atomic renames). ``max_in_flight`` caps the tasks submitted
+    but not finished (a ``ray.wait`` window that stops at the first
+    failure)."""
+    items = list(items)
+    if not items:
+        return []
+    task = ray.remote(
+        num_cpus=num_cpus, max_retries=-1, scheduling_strategy="SPREAD",
+        retry_exceptions=[ray.exceptions.RaySystemError],
+    )(fn)
+    refs: list = []
+    pending: list = []
+    for item in items:
+        if max_in_flight is not None and len(pending) >= max_in_flight:
+            ready, pending = ray.wait(pending, num_returns=1)
+            ray.get(ready)
+        refs.append(task.remote(item))
+        pending.append(refs[-1])
+    return ray.get(refs)

@@ -25,7 +25,8 @@ history in one place:
 ``staged_exchange`` drives the three phases; it is the only way the
 engine rewrites partitions from a Dataset (ingest, lake init,
 repartition), and ``write_partition_snapshot`` writes every partition
-file except those of the driver-side ``state.init_lake`` helper.
+file. Phase 1 is the one Dataset; phases 2a and 2 are one plain Ray
+task per bucket or partition (``stages.exchange.run_tasks``).
 
 Keeping ``_lsn``/``_deleted`` in the materialized state means applying
 *any* subset of old events again (duplicated batches, crash-replay,
@@ -303,39 +304,34 @@ def load_partition_state(
 
 
 def make_salt_reducer(staging_dir: str, worker_threads: int = 1):
-    """Phase-2a of the salted staged merge: one task per (part, salt)
-    bucket folds that bucket's staged chunks to one reduced chunk
+    """Phase-2a of the salted staged merge: ``reduce_bucket({"part": k,
+    "salt": s})`` folds that bucket's staged chunks to one reduced chunk
     (``stage2-{salt}.arrow``, atomic rename — a retried task recomputes
-    identical content). Because the salt is a doc_id hash, the fold is
-    COMPLETE per key; phase 2b only merges buckets against the base."""
+    identical content); an empty bucket writes nothing. Because the salt
+    is a doc_id hash, the fold is COMPLETE per key; phase 2b only merges
+    buckets against the base."""
     import os as _os
     import uuid as _uuid
 
-    def reduce_bucket(batch: pa.Table) -> pa.Table:
+    def reduce_bucket(item: dict) -> None:
         tune_worker_threads(worker_threads)
-        out = []
-        for row in batch.to_pylist():
-            part, salt = int(row["part"]), int(row["salt"])
-            pdir = Path(staging_dir) / f"part={part:04d}"
-            chunks = sorted(pdir.glob(f"salt{salt:03d}-stage-*.arrow"))
-            if not chunks:
-                continue
-            folded = lww_reduce(pa.concat_tables([_read_chunk(p) for p in chunks]))
-            final = pdir / f"stage2-{salt:03d}.arrow"
-            tmp = pdir / f"stage2-{salt:03d}.tmp-{_uuid.uuid4().hex[:8]}"
-            with pa.OSFile(str(tmp), "wb") as f:
-                with pa.ipc.new_file(f, folded.schema) as w:
-                    w.write_table(folded)
-            _os.replace(tmp, final)
-            out.append({"part": part, "rows": folded.num_rows})
-        if not out:
-            return _stage_stats_schema().empty_table()
-        return pa.Table.from_pylist(out, schema=_stage_stats_schema())
+        part, salt = item["part"], item["salt"]
+        pdir = Path(staging_dir) / f"part={part:04d}"
+        chunks = sorted(pdir.glob(f"salt{salt:03d}-stage-*.arrow"))
+        if not chunks:
+            return
+        folded = lww_reduce(pa.concat_tables([_read_chunk(p) for p in chunks]))
+        final = pdir / f"stage2-{salt:03d}.arrow"
+        tmp = pdir / f"stage2-{salt:03d}.tmp-{_uuid.uuid4().hex[:8]}"
+        with pa.OSFile(str(tmp), "wb") as f:
+            with pa.ipc.new_file(f, folded.schema) as w:
+                w.write_table(folded)
+        _os.replace(tmp, final)
 
     return reduce_bucket
 
 
-def make_partition_merger(
+def make_partition_fold(
     table_dir: str,
     staging_dir: str,
     epoch: int,
@@ -347,8 +343,9 @@ def make_partition_merger(
     worker_threads: int = 1,
     chunk_glob: str = "stage-*.arrow",
 ):
-    """Build the phase-2 closure: merge one partition per input row
-    (feed it a Dataset of {"part": k} items with batch_size=1).
+    """Build the phase-2 task body: ``fold({"part": k})`` merges one
+    partition and returns its manifest row (None when nothing is staged
+    for it); ``staged_exchange`` runs one task per touched partition.
 
     ``write_mode="cow"``: fold staged events with the partition's current
     state (base + any deltas) and write the next full snapshot.
@@ -360,32 +357,41 @@ def make_partition_merger(
     files = {int(k): list(v) for k, v in current_files.items()}
     delta = write_mode == "delta"
 
-    def merge(batch: pa.Table) -> pa.Table:
+    def fold(item: dict) -> dict | None:
         tune_worker_threads(worker_threads)
-        out_rows = []
-        for part in batch.column("part").to_pylist():
-            part = int(part)
-            pdir = Path(staging_dir) / f"part={part:04d}"
-            pieces = [conform_table(_read_chunk(p), int_sch)
-                      for p in sorted(pdir.glob(chunk_glob))]
-            if not pieces:
-                continue
-            events = lww_reduce(pa.concat_tables(pieces))
-            merged = events
-            if not delta:
-                base = load_partition_state(table_dir, files.get(part, []),
-                                            int_sch)
-                if base.num_rows:
-                    merged = lww_reduce(pa.concat_tables([base, events]))
-            row = write_partition_snapshot(
-                merged, table_dir, part, epoch, delta=delta,
-                compression=compression, row_group_size=row_group_size)
-            row["lsn_high"] = int(pc.max(events.column(INTERNAL_LSN)).as_py())
-            row["events_applied"] = events.num_rows
-            out_rows.append(row)
-        if not out_rows:
-            return _manifest_schema().empty_table()
-        return pa.Table.from_pylist(out_rows, schema=_manifest_schema())
+        part = item["part"]
+        pdir = Path(staging_dir) / f"part={part:04d}"
+        pieces = [conform_table(_read_chunk(p), int_sch)
+                  for p in sorted(pdir.glob(chunk_glob))]
+        if not pieces:
+            return None
+        events = lww_reduce(pa.concat_tables(pieces))
+        merged = events
+        if not delta:
+            base = load_partition_state(table_dir, files.get(part, []),
+                                        int_sch)
+            if base.num_rows:
+                merged = lww_reduce(pa.concat_tables([base, events]))
+        row = write_partition_snapshot(
+            merged, table_dir, part, epoch, delta=delta,
+            compression=compression, row_group_size=row_group_size)
+        row["lsn_high"] = int(pc.max(events.column(INTERNAL_LSN)).as_py())
+        row["events_applied"] = events.num_rows
+        return row
+
+    return fold
+
+
+def make_partition_merger(*args, **kwargs):
+    """``make_partition_fold`` (same arguments) over a table of parts:
+    ``merge(pa.table({"part": [...]}))`` returns a table with one
+    manifest row per part that had staged chunks — the form an
+    in-process replay of phase 2 calls."""
+    fold = make_partition_fold(*args, **kwargs)
+
+    def merge(batch: pa.Table) -> pa.Table:
+        rows = (fold({"part": int(p)}) for p in batch.column("part").to_pylist())
+        return pa.Table.from_pylist([r for r in rows if r is not None])
 
     return merge
 
@@ -444,7 +450,8 @@ def _staged_task_cpus() -> float:
 
 
 class ExchangeResult(NamedTuple):
-    #: one manifest row per written partition (``_manifest_schema``)
+    #: one manifest row per written partition (``write_partition_snapshot``
+    #: plus ``lsn_high`` and ``events_applied``)
     rows: list[dict]
     #: events dropped at or below the compaction watermark
     dropped_late: int
@@ -482,7 +489,7 @@ def staged_exchange(
     phase to the caller's start."""
     import shutil
 
-    import ray.data
+    from rfb_cnpj_etl_ray.stages.exchange import run_tasks
 
     t0 = time.perf_counter() if t0 is None else t0
     staging = Path(table_dir) / "_staging" / f"epoch-{epoch:06d}"
@@ -502,33 +509,25 @@ def staged_exchange(
     ).take_all()  # tiny (tasks × touched parts); acts as the barrier
     t_merge = time.perf_counter()
     dropped_late = sum(r["rows"] for r in stats if r["part"] < 0)
-    touched = sorted({r["part"] for r in stats if r["part"] >= 0})
+    touched = sorted({int(r["part"]) for r in stats if r["part"] >= 0})
     chunk_glob = "stage-*.arrow"
     if salt_factor > 1:
         # phase 2a: fold each (part, salt) bucket in parallel — a hot
         # partition's fold spreads over salt_factor tasks; the salt is a
         # doc_id hash, so each bucket's fold is complete per key.
-        buckets = [{"part": int(p), "salt": s}
-                   for p in touched for s in range(salt_factor)]
-        ray.data.from_items(
-            buckets, override_num_blocks=max(1, len(buckets))
-        ).map_batches(
-            make_salt_reducer(str(staging), worker_threads=threads),
-            batch_format="pyarrow", batch_size=1, num_cpus=task_cpus,
-        ).take_all()
+        run_tasks(make_salt_reducer(str(staging), worker_threads=threads),
+                  [{"part": p, "salt": s}
+                   for p in touched for s in range(salt_factor)],
+                  num_cpus=task_cpus)
         chunk_glob = "stage2-*.arrow"
-    merge_fn = make_partition_merger(
+    # phase 2: every touched partition has staged chunks, so every task
+    # returns a manifest row
+    rows = run_tasks(make_partition_fold(
         str(table_dir), str(staging), epoch, current_files or {},
         schema_to_jsonable(payload_schema),
         compression=cfg.compression, row_group_size=cfg.row_group_size,
         write_mode=write_mode, worker_threads=threads, chunk_glob=chunk_glob,
-    )
-    rows = ray.data.from_items(
-        [{"part": int(p)} for p in touched],
-        override_num_blocks=max(1, len(touched)),
-    ).map_batches(
-        merge_fn, batch_format="pyarrow", batch_size=1, num_cpus=task_cpus,
-    ).take_all()
+    ), [{"part": p} for p in touched], num_cpus=task_cpus)
     t_end = time.perf_counter()
     yield ExchangeResult(rows, dropped_late, {
         "setup": round(t_stage - t0, 3),
@@ -536,19 +535,3 @@ def staged_exchange(
         "merge": round(t_end - t_merge, 3),
     })
     shutil.rmtree(staging, ignore_errors=True)
-
-
-def _manifest_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            pa.field("part", pa.int32()),
-            pa.field("file", pa.string()),
-            pa.field("rows", pa.int64()),
-            pa.field("live_rows", pa.int64()),
-            pa.field("bytes", pa.int64()),
-            pa.field("lsn_high", pa.int64()),
-            pa.field("events_applied", pa.int64()),
-            pa.field("doc_id_min", pa.string()),
-            pa.field("doc_id_max", pa.string()),
-        ]
-    )

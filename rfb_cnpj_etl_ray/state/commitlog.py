@@ -205,7 +205,9 @@ def init_lake(
     sqlite_builder.py:170-177) — except nothing is dropped: an existing
     committed table is an error, re-init must be explicit. The base
     snapshot (possibly empty) is hash-partitioned by the table key and
-    written as ``epoch-000000`` snapshot files.
+    written key-sorted as ``epoch-000000`` snapshot files by the engine's
+    one partition writer, so epoch 0 commits the same live counts and
+    ``doc_id`` bounds as every later epoch.
 
     Single-node helper: partitions the base on the driver. For a 100 TB
     base snapshot use ``pipelines.ingest.init_lake_distributed`` which
@@ -219,32 +221,35 @@ def init_lake(
     table_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(table_dir / "_table_spec.json", spec.to_json().encode())
 
+    # merge imports this module: the one partition writer is imported late
+    from rfb_cnpj_etl_ray.stages.merge import (
+        _internal_rows,
+        write_partition_snapshot,
+    )
+
     if base is None:
         base = spec.schema.empty_table()
     # materialized snapshot rows carry merge bookkeeping: last-applied lsn
-    # (0 = "base snapshot, before any event") and tombstone flag.
-    n = base.num_rows
-    internal = base.append_column("_lsn", pa.array([0] * n, type=pa.int64()))
-    internal = internal.append_column("_deleted", pa.array([False] * n, type=pa.bool_()))
-    base = internal
-    parts = partition_ids(base.column(spec.key[0]), num_partitions)
+    # (0 = "base snapshot, before any event") and tombstone flag; sorted
+    # by key first, so the stable split below keeps every file key-sorted
+    key = spec.key[0]
+    base = _internal_rows(base, spec.schema, prep="base").sort_by(key)
+    parts = partition_ids(base.column(key), num_partitions)
     partitions: dict[str, dict] = {}
     import numpy as np
 
     order = np.argsort(parts, kind="stable")
     sorted_tbl = base.take(pa.array(order))
-    sorted_parts = parts[order]
-    bounds = np.searchsorted(sorted_parts, np.arange(num_partitions + 1))
+    bounds = np.searchsorted(parts[order], np.arange(num_partitions + 1))
     for p in range(num_partitions):
         chunk = sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-        rel = f"part={p:04d}/epoch-000000.parquet"
-        size = atomic_write_table(chunk, table_dir / rel, compression=compression)
+        row = write_partition_snapshot(chunk, table_dir, p, 0,
+                                       compression=compression)
         partitions[str(p)] = {
-            "file": rel,
-            "rows": chunk.num_rows,
-            "bytes": size,
-            "lsn_high": None,
-            "events_applied": 0,
+            "file": row["file"], "rows": row["rows"],
+            "live_rows": row["live_rows"], "bytes": row["bytes"],
+            "lsn_high": None, "events_applied": 0,
+            "doc_id_min": row["doc_id_min"], "doc_id_max": row["doc_id_max"],
         }
     log.append(
         {

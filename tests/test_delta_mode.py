@@ -116,6 +116,29 @@ def test_lookup_point_reads(ray_session, tmp_path):
         assert row["tokens"] == by[row["doc_id"]]["tokens"]
 
 
+def test_init_lake_epoch0_is_sorted_and_zone_mapped(ray_session, tmp_path):
+    """``init_lake`` writes epoch 0 through the one partition writer:
+    every file is doc_id-sorted and its commit entry carries the zone
+    map and live count, so a delta epoch's merged bounds stay exact and
+    lookups of every key match the oracle."""
+    from rfb_cnpj_etl_ray.pipelines.ingest import lookup
+
+    base, events, log_dir, lake, cfg, _ = _setup(tmp_path)
+    entries = CommitLog(lake / "sequences").commit_at(0)["partitions"]
+    assert len(entries) == 4
+    for v in entries.values():
+        ids = pq.read_table(lake / "sequences" / v["file"])["doc_id"].to_pylist()
+        assert ids and ids == sorted(ids)
+        assert (v["doc_id_min"], v["doc_id_max"]) == (ids[0], ids[-1])
+        assert v["live_rows"] == v["rows"] == len(ids)
+    assert sum(v["live_rows"] for v in entries.values()) == base.num_rows
+    ingest(lake, log_dir, cfg=cfg)
+    expected = replay(base, events)
+    probe = sorted(set(base["doc_id"].to_pylist())
+                   | set(events["doc_id"].to_pylist())) + ["docNOPE9999"]
+    assert_states_equal(expected, lookup(lake, probe))
+
+
 def test_size_tiered_delta_compaction(ray_session, tmp_path):
     """compact_deltas folds only partitions whose delta mass crosses the
     ratio; others keep merge-on-read deltas; final state stays exact."""

@@ -39,6 +39,19 @@ def test_single_epoch_matches_oracle(ray_session, tmp_path):
     assert_states_equal(expected, read_lake_table(lake))
 
 
+def test_commit_records_phase_seconds(ray_session, tmp_path):
+    """The commit keeps the exchange's per-phase seconds, which add up
+    to no more than the epoch's ``stage_seconds``."""
+    base, events, log_dir, lake, cfg = _setup(tmp_path)
+    ingest(lake, log_dir, cfg=cfg)
+    metrics = CommitLog(lake / "sequences").latest()["metrics"]
+    phases = metrics["phase_seconds"]
+    assert set(phases) == {"setup", "stage", "merge"}
+    assert all(v >= 0 for v in phases.values())
+    # each value is rounded to 1 ms, so allow 4 half-milliseconds
+    assert sum(phases.values()) <= metrics["stage_seconds"] + 0.002
+
+
 def test_incremental_epochs_match_full_replay(ray_session, tmp_path):
     """Segments ingested across three epochs == one-shot oracle replay."""
     base, events, log_dir, lake, cfg = _setup(tmp_path, n_segments=6)

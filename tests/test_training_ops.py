@@ -673,6 +673,28 @@ def test_semantic_dedup_rep_is_component_min_and_closed(ray_session):
     assert out.groupby("rep_id")["cluster"].nunique().max() == 1
 
 
+def test_semantic_dedup_cluster_cap_fails_loud(ray_session, tmp_path):
+    """One cluster above the dense-matrix cap must abort with both
+    remedies named, never allocate its m x m similarity matrix."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    n = S.SEM_DEDUP_MAX_CLUSTER + 1
+    # identical vectors tie with every centroid; the min-cid rule puts
+    # all of them in one cluster
+    pq.write_table(pa.table({
+        "vec_id": pa.array(np.arange(n, dtype=np.int64)),
+        "embedding": pa.array([[1.0, 0.0, 0.0, 0.0]] * n,
+                              pa.list_(pa.float32())),
+        "label": pa.array(np.zeros(n, dtype=np.int32)),
+    }), tmp_path / "embeddings.parquet")
+    with pytest.raises(Exception) as exc_info:
+        to_pandas(S.semantic_dedup(str(tmp_path)))
+    msg = str(exc_info.value)
+    assert f"{n} rows" in msg
+    assert "toward sqrt(N)" in msg and "embedding_lsh_near_dup" in msg
+
+
 def test_refined_quantiles_adversarial_corpora(ray_session, tmp_path):
     """Rank-boundary cases the shipped corpus can't hit: group sizes
     that are exact multiples of the quantile denominators (n=100/200 at
