@@ -33,6 +33,7 @@ from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
     INTERNAL_LSN,
     internal_schema,
+    load_partition_state,
     staged_exchange,
     write_partition_snapshot,
 )
@@ -70,8 +71,6 @@ def validate_lake(lake_dir: str | Path, table: str = "sequences",
         import os
 
         import pyarrow.parquet as pq
-
-        from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
         part, rels = item["part"], item["rels"]
         paths = [os.path.join(str(table_dir), r) for r in rels]
@@ -295,8 +294,6 @@ def compact_deltas(
                 "noop": True}
 
     def fold(item: dict) -> dict:
-        from rfb_cnpj_etl_ray.stages.merge import load_partition_state
-
         # the fold is lww_reduce output (or one snapshot/delta file that
         # was written from it), so it is already doc_id-sorted
         return write_partition_snapshot(
@@ -355,8 +352,6 @@ def compact(lake_dir: str | Path, table: str = "sequences",
              for p, v in commit["partitions"].items()]
 
     def rewrite(item: dict) -> dict:
-        from rfb_cnpj_etl_ray.stages.merge import load_partition_state
-
         # fold base + deltas (merge-on-read) into one snapshot, then GC
         t = load_partition_state(str(table_dir), item["rels"], int_sch)
         drop = pc.and_(
