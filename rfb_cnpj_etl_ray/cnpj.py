@@ -773,9 +773,9 @@ def cnpj_estabelecimento_report(sf_dir: str):
 
     * predicate pushdown on the biggest table (estabelecimento is
       column-pruned at the read and filtered in the first map_batches);
-    * estabelecimento⋈empresa as a distributed inner hash join,
-      LEFT JOIN simples as a distributed left-outer join — both
-      fact-sized at 100 TB, partitions derived from cluster CPUs;
+    * estabelecimento⋈empresa as a distributed inner ``keyed_join``,
+      LEFT JOIN simples as a distributed left-outer one — both
+      fact-sized at 100 TB;
     * ORDER BY razao_social LIMIT 20 runs BEFORE the correlated
       GROUP_CONCAT enrichment: the concat columns cannot change which
       rows the top-k keeps (they are projections, not predicates), so
@@ -791,13 +791,11 @@ def cnpj_estabelecimento_report(sf_dir: str):
     import datetime as _dt
 
     import pandas as pd
-    import ray
 
     from rfb_cnpj_etl_ray.pipelines.ingest import read_lake
+    from rfb_cnpj_etl_ray.stages.joins import keyed_join
 
     lake = _ensure_cnpj_lake(sf_dir)
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    npart = max(2, ncpu // 4)
 
     est_cols = [
         "doc_id", "cnpj_basico", "cnpj_ordem", "cnpj_dv", "matriz_filial",
@@ -826,16 +824,15 @@ def cnpj_estabelecimento_report(sf_dir: str):
 
     emp = read_lake(lake, "empresa").select_columns(
         ["cnpj_basico", "razao_social", "cod_natureza_juridica", "cod_porte",
-         "capital_social"]).rename_columns({"cnpj_basico": "e_basico"})
-    joined = est.join(emp, join_type="inner", num_partitions=npart,
-                      on=("cnpj_basico",), right_on=("e_basico",))
+         "capital_social"])
+    joined = keyed_join(est, emp, "cnpj_basico", "cnpj_basico", "inner")
 
     sim = read_lake(lake, "simples").select_columns(
         ["cnpj_basico", "opcao_simples", "data_opcao_simples",
          "data_exclusao_simples", "opcao_mei", "data_opcao_mei",
-         "data_exclusao_mei"]).rename_columns({"cnpj_basico": "s_basico"})
-    joined = joined.join(sim, join_type="left_outer", num_partitions=npart,
-                         on=("cnpj_basico",), right_on=("s_basico",))
+         "data_exclusao_mei"])
+    joined = keyed_join(joined, sim, "cnpj_basico", "cnpj_basico",
+                        "left outer")
 
     top = (joined.sort(["razao_social", "doc_id"])
                  .limit(_REPORT_LIMIT).to_pandas())

@@ -19,6 +19,8 @@ to *content* dedup for training corpora. Patterns:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -26,7 +28,6 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from rfb_cnpj_etl_ray.sources.parquet import pool_size as _pool
 from rfb_cnpj_etl_ray.sources.parquet import read_table as _read_table
 
 from rfb_cnpj_etl_ray.functions.text import WS_CTRL, _ngrams, _words
@@ -185,65 +186,67 @@ _MH_BASE = 131
 _MH_SEED = 1234
 
 
-def _mh_perms(num_hashes: int = NUM_HASHES, seed: int = _MH_SEED):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, _MH_PRIME, num_hashes, dtype=np.int64)
-    b = rng.integers(0, _MH_PRIME, num_hashes, dtype=np.int64)
+assert NUM_HASHES % NUM_BANDS == 0, \
+    "NUM_HASHES must be a multiple of NUM_BANDS"
+
+
+def _mh_perms():
+    rng = np.random.default_rng(_MH_SEED)
+    a = rng.integers(1, _MH_PRIME, NUM_HASHES, dtype=np.int64)
+    b = rng.integers(0, _MH_PRIME, NUM_HASHES, dtype=np.int64)
     return a, b
 
 
-class MinHasher:
+#: the 64 permutations a_i·h + b_i mod 2^31-1, drawn once per process
+_MH_A, _MH_B = _mh_perms()
+
+
+def _minhash_signatures(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     """Per-batch MinHash signatures, vectorized: polynomial-hash every
     word of the batch once (flat buffer + reduceat; the same
     SQL-reproducible fold ``fingerprints`` uses), then for each of the 64
     permutations (a_i·h + b_i mod 2^31-1 — BIGINT-exact on both engines)
-    take per-doc minima with ``np.minimum.reduceat``. Band bucket key =
-    the band's 4 signature values joined as text (exact tuples, no
-    second hash), so a DuckDB oracle reconstructs identical buckets."""
+    take per-doc minima with ``np.minimum.reduceat``."""
+    flat, counts = _words(texts)
+    base = _word_poly_hashes(flat, _MH_BASE)
+    sigs = np.full((len(texts), NUM_HASHES), _MH_PRIME, dtype=np.int64)
+    nonempty = counts > 0
+    if base.size:
+        offsets = np.zeros(len(texts), dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        starts = offsets[nonempty]
+        for h in range(NUM_HASHES):
+            vals = (_MH_A[h] * base + _MH_B[h]) % _MH_PRIME
+            sigs[nonempty, h] = np.minimum.reduceat(vals, starts)
+    return sigs, nonempty
 
-    def __init__(self, num_hashes: int = NUM_HASHES, seed: int = _MH_SEED):
-        self.a, self.b = _mh_perms(num_hashes, seed)
-        self.num_hashes = num_hashes
 
-    def signatures(self, texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
-        flat, counts = _words(texts)
-        base = _word_poly_hashes(flat, _MH_BASE)
-        sigs = np.full((len(texts), self.num_hashes), _MH_PRIME,
-                       dtype=np.int64)
-        nonempty = counts > 0
-        if base.size:
-            offsets = np.zeros(len(texts), dtype=np.int64)
-            np.cumsum(counts[:-1], out=offsets[1:])
-            starts = offsets[nonempty]
-            for h in range(self.num_hashes):
-                vals = (self.a[h] * base + self.b[h]) % _MH_PRIME
-                mins = np.minimum.reduceat(vals, starts)
-                sigs[nonempty, h] = mins
-        return sigs, nonempty
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        sigs, nonempty = self.signatures(batch["text"])
-        # wordless docs have no signature (SQL's min-over-empty is NULL):
-        # drop them from banding on both engines
-        sigs = sigs[nonempty]
-        doc_ids = batch["doc_id"].to_numpy()[nonempty]
-        rows_per_band = self.num_hashes // NUM_BANDS
-        assert self.num_hashes % NUM_BANDS == 0, \
-            "NUM_HASHES must be a multiple of NUM_BANDS"
-        strs = sigs.astype("U10")
-        band_keys = []
-        for k in range(NUM_BANDS):
-            key = strs[:, rows_per_band * k]
-            for j in range(1, rows_per_band):
-                key = np.char.add(np.char.add(key, ","),
-                                  strs[:, rows_per_band * k + j])
-            band_keys.append(key)
-        return pd.DataFrame({
-            "doc_id": np.repeat(doc_ids, NUM_BANDS),
-            "band": np.tile(np.arange(NUM_BANDS, dtype=np.int32),
-                            len(doc_ids)),
-            "band_key": np.stack(band_keys, axis=1).ravel(),
-        })
+def minhash_bands(batch: pd.DataFrame) -> pd.DataFrame:
+    """One (doc_id, band, band_key) row per band of every worded doc.
+    Band bucket key = the band's 4 signature values joined as text
+    (exact tuples, no second hash), so a DuckDB oracle reconstructs
+    identical buckets. A plain task function: the permutations are
+    module constants, so there is no per-worker state to build."""
+    sigs, nonempty = _minhash_signatures(batch["text"])
+    # wordless docs have no signature (SQL's min-over-empty is NULL):
+    # drop them from banding on both engines
+    sigs = sigs[nonempty]
+    doc_ids = batch["doc_id"].to_numpy()[nonempty]
+    rows_per_band = NUM_HASHES // NUM_BANDS
+    strs = sigs.astype("U10")
+    band_keys = []
+    for k in range(NUM_BANDS):
+        key = strs[:, rows_per_band * k]
+        for j in range(1, rows_per_band):
+            key = np.char.add(np.char.add(key, ","),
+                              strs[:, rows_per_band * k + j])
+        band_keys.append(key)
+    return pd.DataFrame({
+        "doc_id": np.repeat(doc_ids, NUM_BANDS),
+        "band": np.tile(np.arange(NUM_BANDS, dtype=np.int32),
+                        len(doc_ids)),
+        "band_key": np.stack(band_keys, axis=1).ravel(),
+    })
 
 
 def _seg_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -328,7 +331,7 @@ def _pack_pairs(ids: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray
 
 def minhash_lsh_candidates(sf_dir: str):
     """Candidate near-duplicate pairs via MinHash-LSH: signature →
-    (band, band_key, doc_id) explode → keyed hash exchange on the bucket
+    (band, band_key, doc_id) explode → keyed exchange on the bucket
     key → per-BLOCK vectorized pair construction (run boundaries + a
     numpy segment-range expansion — no Python call per bucket) → second
     keyed exchange + block-local drop_duplicates for the global pair
@@ -339,7 +342,7 @@ def minhash_lsh_candidates(sf_dir: str):
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        MinHasher, batch_format="pandas", concurrency=_pool()
+        minhash_bands, batch_format="pandas"
     )
 
     def block_pairs(df: pd.DataFrame):
@@ -360,28 +363,18 @@ def minhash_lsh_candidates(sf_dir: str):
     )
 
     def unpack_block(df: pd.DataFrame) -> pd.DataFrame:
-        # range partitioning is a pure function of the key value and the
-        # global sort boundaries, so a packed pair lands wholly in one
-        # block → one np.unique per block finishes the global dedup
-        # (pinned against Ray sort-impl changes by
-        # tests/test_range_exchange.py: boundary-equal heavy keys across
-        # many blocks must never split)
+        # a packed pair lands wholly in one block after the keyed
+        # exchange → one np.unique per block finishes the global dedup
         p = np.unique(df["pair"].to_numpy())
         return pd.DataFrame({"doc_a": p >> 32,
                              "doc_b": p & 0xFFFFFFFF})
 
-    # global pair dedup via SORT (range exchange), not the hash-shuffle
-    # operator: on this 36.7M-row int64 stream the sort repartition
-    # measures 1.8 s vs 13-17 s for HASH_SHUFFLE at sf0.1/32 CPUs (the
-    # hash aggregator actors pay per-row routing the range split never
-    # does), and equal keys still co-locate exactly
-    return pairs.sort("pair").map_batches(
+    return repartition_by_key(pairs, ["pair"]).map_batches(
         unpack_block, batch_format="pandas", batch_size=None
     )
 
 
 def _minhash_sql() -> str:
-    a, b = _mh_perms()
     word_hash = (
         "list_transform(regexp_extract_all(lower(text), '\\S+'), "
         "w -> list_reduce(list_prepend(CAST(0 AS BIGINT), "
@@ -390,11 +383,12 @@ def _minhash_sql() -> str:
         f"(x, y) -> (x * {_MH_BASE} + y) % {_MH_PRIME}))"
     )
     mins = ", ".join(
-        f"list_min(list_transform(hs, h -> ({int(a[i])} * h + {int(b[i])})"
+        f"list_min(list_transform(hs, h -> "
+        f"({int(_MH_A[i])} * h + {int(_MH_B[i])})"
         f" % {_MH_PRIME}))"
         for i in range(NUM_HASHES)
     )
-    # band-key stride = rows per band, same derivation as MinHasher
+    # band-key stride = rows per band, same derivation as minhash_bands
     # (was a hardcoded 4 on both sides — ADVICE r2)
     rpb = NUM_HASHES // NUM_BANDS
     bkey = " || ',' || ".join(
@@ -455,7 +449,7 @@ def minhash_dedup_groups(sf_dir: str, rounds: int = 8):
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        MinHasher, batch_format="pandas", concurrency=_pool()
+        minhash_bands, batch_format="pandas"
     ).map_batches(
         lambda df: df.assign(label=df["doc_id"]), batch_format="pandas"
     )
@@ -503,15 +497,10 @@ def minhash_dedup_groups(sf_dir: str, rounds: int = 8):
         check = r > 0  # round 0 always changes something; skip its cost
         if check:
             ds = ds.map_batches(snapshot_label, batch_format="pandas")
-        # sort-based range exchanges (equal keys never span blocks —
-        # partition assignment is a pure function of key + global
-        # boundaries), measured ~35% faster per round than the
-        # hash-shuffle operator and task-based (no long-lived
-        # aggregator-actor pools chained inside the loop)
-        ds = ds.sort(["band", "band_key"]).map_batches(
+        ds = repartition_by_key(ds, ["band", "band_key"]).map_batches(
             bucket_min, batch_format="pandas", batch_size=None
         )
-        ds = ds.sort("doc_id").map_batches(
+        ds = repartition_by_key(ds, ["doc_id"]).map_batches(
             doc_min, batch_format="pandas", batch_size=None
         )
         path = spill_root / f"round_{r}"
@@ -538,18 +527,15 @@ def minhash_dedup_groups(sf_dir: str, rounds: int = 8):
             spill_files, override_num_blocks=sized_blocks(spill_files))
         if check:
             # fixed-point check over a COLUMN-PRUNED read of the spill
-            # (two int64 columns, not the band-key strings); tiny
-            # per-block counts, not data, reach the driver
-            changed = sum(
-                row["changed"]
-                for row in ray.data.read_parquet(
-                    spill_files, columns=["label", "label_prev"],
-                    override_num_blocks=sized_blocks(spill_files),
-                ).map_batches(
-                    count_changed, batch_format="pyarrow",
-                    zero_copy_batch=True).take_all()
-            )
-            if changed == 0:
+            # (two int64 columns, not the band-key strings); one summed
+            # count, not data, reaches the driver
+            changed = ray.data.read_parquet(
+                spill_files, columns=["label", "label_prev"],
+                override_num_blocks=sized_blocks(spill_files),
+            ).map_batches(
+                count_changed, batch_format="pyarrow",
+                zero_copy_batch=True).sum("changed")
+            if not changed:
                 converged = True
                 break
 
@@ -572,7 +558,7 @@ def minhash_dedup_groups(sf_dir: str, rounds: int = 8):
     partial = ds.map_batches(partial_finalize, batch_format="pandas",
                              batch_size=None)
 
-    # wordless docs never enter a bucket (MinHasher drops them) but ARE
+    # wordless docs never enter a bucket (minhash_bands drops them) but ARE
     # their own singleton components in the exact labeling — union the
     # identity label for every doc; labels only ever decrease from the
     # identity, so one min per doc yields the true component for worded
@@ -585,7 +571,8 @@ def minhash_dedup_groups(sf_dir: str, rounds: int = 8):
     def final_min(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("doc_id", as_index=False)["group_id"].min()
 
-    return partial.union(identity).sort("doc_id").map_batches(
+    both = partial.union(identity)
+    return repartition_by_key(both, ["doc_id"]).map_batches(
         final_min, batch_format="pandas", batch_size=None)
 
 
@@ -779,46 +766,42 @@ _EMB_PAIR_CHUNK = 1 << 15   # pairs per verify chunk: 2 gathers × 64 dims
                             # × 8 B ≈ 33 MB peak, independent of bucket size
 
 
+@functools.lru_cache(maxsize=4)
 def _plane_signs(dim: int, planes: int = EMB_LSH_PLANES) -> np.ndarray:
     """Deterministic ±1 hyperplane matrix, shape (dim, planes): the sign
     of plane p in dimension d is bit 16 of knuth_hash(p·4096 + d). A MID
     bit — bit 0 of a multiplicative hash is just the seed's parity, so
-    it would make every plane's signs alternate in lockstep."""
+    it would make every plane's signs alternate in lockstep. Built once
+    per ``dim`` per process (a pure function, so every worker derives
+    the same matrix with nothing broadcast); read-only, since every
+    caller shares it."""
     from rfb_cnpj_etl_ray.functions.text import knuth_hash
 
     p, d = np.meshgrid(np.arange(planes), np.arange(dim), indexing="ij")
     h = knuth_hash((p * _EMB_PLANE_STRIDE + d).ravel())
-    return (((h >> 16) & 1) * 2 - 1).reshape(planes, dim).T.astype(np.int64)
+    signs = (((h >> 16) & 1) * 2 - 1).reshape(planes, dim).T.astype(np.int64)
+    signs.setflags(write=False)
+    return signs
 
 
-class _EmbCoder:
-    """Quantize + band-code one batch of embeddings. The plane matrix is
-    built once per actor from the first batch's dim (the build is a pure
-    function of (dim, planes), so every actor derives the same matrix —
-    broadcast-free determinism)."""
-
-    def __init__(self):
-        self.S = None
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-        q = np.floor(m * _EMB_Q).astype(np.int64)
-        if self.S is None:
-            self.S = _plane_signs(q.shape[1])
-        bits = (q @ self.S) >= 0                                # (n, P)
-        w = 1 << np.arange(EMB_LSH_R, dtype=np.int64)
-        codes = bits.reshape(len(q), EMB_LSH_BANDS, EMB_LSH_R) @ w
-        n = len(q)
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        # band-major layout so the replicated q column is a cheap list
-        # repeat (array REFERENCES, not copies — Arrow materializes the
-        # list column once at block build)
-        return pd.DataFrame({
-            "band": np.repeat(np.arange(EMB_LSH_BANDS, dtype=np.int64), n),
-            "band_key": codes.T.ravel().astype(np.int64),
-            "doc_id": np.tile(ids, EMB_LSH_BANDS),
-            "q": list(q) * EMB_LSH_BANDS,
-        })
+def _emb_code(batch: pd.DataFrame) -> pd.DataFrame:
+    """Quantize + band-code one batch of embeddings."""
+    m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
+    q = np.floor(m * _EMB_Q).astype(np.int64)
+    bits = (q @ _plane_signs(q.shape[1])) >= 0                  # (n, P)
+    w = 1 << np.arange(EMB_LSH_R, dtype=np.int64)
+    codes = bits.reshape(len(q), EMB_LSH_BANDS, EMB_LSH_R) @ w
+    n = len(q)
+    ids = batch["vec_id"].to_numpy().astype(np.int64)
+    # band-major layout so the replicated q column is a cheap list
+    # repeat (array REFERENCES, not copies — Arrow materializes the
+    # list column once at block build)
+    return pd.DataFrame({
+        "band": np.repeat(np.arange(EMB_LSH_BANDS, dtype=np.int64), n),
+        "band_key": codes.T.ravel().astype(np.int64),
+        "doc_id": np.tile(ids, EMB_LSH_BANDS),
+        "q": list(q) * EMB_LSH_BANDS,
+    })
 
 
 def embedding_lsh_near_dup(sf_dir: str):
@@ -829,15 +812,15 @@ def embedding_lsh_near_dup(sf_dir: str):
 
     Shape: one stateless coding pass (quantize → 64 sign bits → 16
     band codes of 4 bits; the hyperplanes are a deterministic hash
-    formula, derived per actor, nothing shipped) → ONE keyed exchange
+    formula, derived per worker, nothing shipped) → ONE keyed exchange
     on (band, code) — each vector's 64-dim quantized form rides along
     (8 KB/vec replicated ×16 bands, the standard LSH carry cost) →
     per-block in-bucket verify: int64 matmul for the exact quantized
     dot products, then the threshold test dot²·100 ≥ 9·‖a‖²·‖b‖² in
     arbitrary-precision ints (needs 92 bits; big-int math runs ONLY on
-    in-bucket candidate pairs, never per dimension) → packed-pair sort
-    (range exchange) for the cross-band global dedup, same machinery as
-    MinHash. Recall at cos ≥ 0.3 with 16 bands × 4 bits ≈ 0.89
+    in-bucket candidate pairs, never per dimension) → a keyed exchange
+    on the packed pair for the cross-band global dedup, same machinery
+    as MinHash. Recall at cos ≥ 0.3 with 16 bands × 4 bits ≈ 0.89
     (1−(1−p⁴)^16, p = 1−acos(t)/π); EMB_LSH_R scales with log(corpus)
     to keep buckets bounded — 4 bits fits the test corpus, a 100 TB run
     raises R (and bands) rather than bucket size. Everything is integer-
@@ -846,7 +829,7 @@ def embedding_lsh_near_dup(sf_dir: str):
 
     ds = _read_table(f"{sf_dir}/embeddings.parquet",
                      columns=["vec_id", "embedding"]).map_batches(
-        _EmbCoder, batch_format="pandas", concurrency=_pool())
+        _emb_code, batch_format="pandas")
 
     def block_verified(df: pd.DataFrame):
         empty = pd.DataFrame({"pair": pd.Series([], dtype="int64"),
@@ -894,9 +877,9 @@ def embedding_lsh_near_dup(sf_dir: str):
         block_verified, batch_format="pandas", batch_size=None)
 
     def unpack_block(df: pd.DataFrame) -> pd.DataFrame:
-        # equal packed keys co-locate after the sort (range exchange,
-        # pinned by tests/test_range_exchange.py); a pair's cos2_ppm is
-        # identical from every band that found it, so first-wins is exact
+        # equal packed keys co-locate after the keyed exchange; a pair's
+        # cos2_ppm is identical from every band that found it, so
+        # first-wins is exact
         p = df["pair"].to_numpy()
         up, idx = np.unique(p, return_index=True)
         return pd.DataFrame({
@@ -904,7 +887,7 @@ def embedding_lsh_near_dup(sf_dir: str):
             "vec_b": up & 0xFFFFFFFF,
             "cos2_ppm": df["cos2_ppm"].to_numpy()[idx]})
 
-    return pairs.sort("pair").map_batches(
+    return repartition_by_key(pairs, ["pair"]).map_batches(
         unpack_block, batch_format="pandas", batch_size=None)
 
 
@@ -1016,15 +999,14 @@ def dedup_corpus(sf_dir: str, rounds: int = 8):
     doc_id of the component, the exact fixed-point label from
     :func:`minhash_dedup_groups`), its ``text`` and ``n_chars``, and
     ``group_size`` (1 + near-dups dropped). Shape: the O(docs) label
-    table hash-exchanges on group_id for the size count; representatives
-    then join back to the corpus via a keyed exchange on doc_id — both
-    exchanges carry two int64 columns; the wide text column only moves
-    once, pruned to the surviving rows' partitions."""
-    import os
+    table goes through a keyed exchange on group_id for the size count;
+    representatives then ``keyed_join`` back to the corpus on doc_id —
+    the label exchange carries two int64 columns and the wide text
+    column only moves once."""
     import shutil
-    from pathlib import Path
 
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
+    from rfb_cnpj_etl_ray.stages.joins import keyed_join
 
     labels = minhash_dedup_groups(sf_dir, rounds=rounds)
     # checkpoint the O(docs) label table (two int64 columns) through the
@@ -1041,56 +1023,27 @@ def dedup_corpus(sf_dir: str, rounds: int = 8):
     labels = ray.data.read_parquet(
         lab_files, override_num_blocks=_sb(lab_files))
 
-    def group_stats(df: pd.DataFrame) -> pd.DataFrame:
+    def group_stats(df: pd.DataFrame) -> pa.Table:
         g = df.groupby("group_id", as_index=False).agg(
             group_size=("doc_id", "size"))
         g["doc_id"] = g["group_id"]  # representative == component min
-        return g[["doc_id", "group_size"]]
+        return pa.table({
+            "doc_id": pa.array(g["doc_id"], pa.int64()),
+            "group_size": pa.array(g["group_size"], pa.int64())})
 
-    reps = labels.sort("group_id").map_batches(
+    reps = repartition_by_key(labels, ["group_id"]).map_batches(
         group_stats, batch_format="pandas", batch_size=None)
 
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
-    def attach_text(df: pd.DataFrame) -> pa.Table:
-        # after the shared doc_id exchange each block holds a rep row
-        # and its document row iff the doc survives; inner merge per
-        # block IS the global join. Declared-Arrow output: an EMPTY
-        # pandas object column would otherwise break Ray's block size
-        # estimation ("cannot call vectorize on size 0 inputs")
-        left = df[df["group_size"].notna()][["doc_id", "group_size"]]
-        right = df[df["group_size"].isna()][["doc_id", "text"]]
-        out = left.merge(right, on="doc_id", how="inner")
-        return pa.table({
-            "doc_id": pa.array(out["doc_id"], pa.int64()),
-            "text": pa.array(out["text"], pa.string()),
-            "n_chars": pa.array(out["text"].str.len(), pa.int64()),
-            "group_size": pa.array(out["group_size"], pa.int64()),
-        })
+    def add_n_chars(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "n_chars", pc.cast(pc.utf8_length(t.column("text")), pa.int64()))
 
-    # both sides must present ONE declared schema to the union + shuffle
-    # (an all-null pandas object column would otherwise infer null type)
-    def tag_rep(df: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "doc_id": pa.array(df["doc_id"], pa.int64()),
-            "text": pa.nulls(len(df), pa.string()),
-            "group_size": pa.array(df["group_size"], pa.float64()),
-        })
-
-    def tag_doc(df: pd.DataFrame) -> pa.Table:
-        return pa.table({
-            "doc_id": pa.array(df["doc_id"], pa.int64()),
-            "text": pa.array(df["text"], pa.string()),
-            "group_size": pa.nulls(len(df), pa.float64()),
-        })
-
-    both = reps.map_batches(tag_rep, batch_format="pandas").union(
-        docs.map_batches(tag_doc, batch_format="pandas"))
-    # sort-based range exchange: the int64 doc_id key co-locates a rep
-    # row with its document row exactly like the hash exchange did, at
-    # task-shuffle cost (no aggregator-actor pool for the wide text move)
-    return both.sort("doc_id").map_batches(
-        attach_text, batch_format="pandas", batch_size=None)
+    # representatives join back to their documents on doc_id: the wide
+    # text column moves once, through the join's keyed exchange
+    return keyed_join(reps, docs, "doc_id", "doc_id", "inner").map_batches(
+        add_n_chars, batch_format="pyarrow")
 
 
 DEDUP_CORPUS_SQL = f"""
@@ -1185,10 +1138,9 @@ def simhash_near_dup_pairs(sf_dir: str, ham_max: int = SH_HAM_MAX):
     ).map_batches(block_pairs, batch_format="pandas", batch_size=None)
 
     def unpack_block(df: pd.DataFrame) -> pd.DataFrame:
-        # a packed pair lands wholly in one block (range partitioning is
-        # a pure function of key value + global boundaries) → block-local
-        # dedup finishes the global one (same pair from different bands
-        # carries the identical hamming)
+        # a packed pair lands wholly in one block after the keyed
+        # exchange → block-local dedup finishes the global one (same
+        # pair from different bands carries the identical hamming)
         d = df.drop_duplicates("pair")
         p = d["pair"].to_numpy(dtype=np.int64)
         return pd.DataFrame({
@@ -1197,10 +1149,7 @@ def simhash_near_dup_pairs(sf_dir: str, ham_max: int = SH_HAM_MAX):
             "hamming": d["hamming"].to_numpy(dtype=np.int64),
         })
 
-    # sort-based range exchange for the same reason as
-    # minhash_lsh_candidates: 7x cheaper than HASH_SHUFFLE on a packed
-    # int64 pair stream, with the same key-co-location guarantee
-    return pairs.sort("pair").map_batches(
+    return repartition_by_key(pairs, ["pair"]).map_batches(
         unpack_block, batch_format="pandas", batch_size=None)
 
 

@@ -2,12 +2,13 @@
 
 Image/audio/video payloads are carried as Arrow ``binary`` columns with a
 metadata struct; decode / feature-extract / resize / frame-sample run as
-actor-pool ``map_batches`` stages (decoder state loaded once per actor).
-The actual codecs are NOT in this container, so the decode step is
-STUBBED: ``RealDecoder`` raises ``NotImplementedError`` with the install
-hint, and ``FakeDecoder`` produces deterministic features from the bytes
-— the Ray-side plumbing (schema, batch sizing, actor signature, output
-layout) is real and tested either way.
+plain ``map_batches`` task functions (a decoder's model state would
+arrive as a ``stages.exchange.fetch``ed broadcast, opened once per
+worker process). The image codecs are NOT installed, so that decode
+step is STUBBED: ``RealDecoder`` raises ``NotImplementedError`` with the
+install hint, and ``fake_decode`` produces deterministic features from
+the bytes — the Ray-side plumbing (schema, batch sizing, batch-in /
+batch-out signature, output layout) is real and tested either way.
 
 Batch-size note (100 TB): binary rows are wide — a 1 MB payload means
 ``batch_size`` of a few hundred, not 32k; pass ``batch_size`` explicitly
@@ -23,7 +24,6 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from rfb_cnpj_etl_ray.sources.parquet import pool_size as _pool
 from rfb_cnpj_etl_ray.sources.parquet import read_table as _read_table
 
 #: schema of a multimodal payload table.
@@ -38,10 +38,10 @@ MEDIA_SCHEMA = pa.schema(
 
 
 class RealDecoder:
-    """Placeholder for a real decoder actor (PIL / libav / torchaudio).
+    """Placeholder for a real decoder (PIL / libav / torchaudio).
 
-    Keeps the exact actor signature the fake uses, so swapping it in is a
-    one-line change at the call site."""
+    Called like ``fake_decode`` (one Arrow batch in, one out), so swapping
+    it in is a one-line change at the call site."""
 
     def __init__(self, media_type: str = "image"):
         self.media_type = media_type
@@ -55,46 +55,41 @@ class RealDecoder:
         if not self._available:
             raise NotImplementedError(
                 "media decoding requires Pillow/libav which are not in this "
-                "environment; use FakeDecoder for the plumbing path"
+                "environment; use fake_decode for the plumbing path"
             )
         raise NotImplementedError("real decode path not implemented")
 
 
-class FakeDecoder:
+def fake_decode(batch: pa.Table) -> pa.Table:
     """Deterministic stand-in 'decoder': derives pseudo features (width,
     height, mean 'luminance') from the payload bytes — pure numpy over a
     flat buffer, stable across runs, exercising the same Arrow plumbing
     a real decoder would."""
-
-    def __init__(self, media_type: str = "image"):
-        self.media_type = media_type
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload")
-        lens = pc.binary_length(payloads).to_numpy().astype(np.int64)
-        flat = np.frombuffer(b"".join(payloads.to_pylist()), dtype=np.uint8) \
-            if batch.num_rows else np.array([], dtype=np.uint8)
-        offsets = np.zeros(len(lens), dtype=np.int64)
-        np.cumsum(lens[:-1], out=offsets[1:])
-        nonempty = lens > 0
-        width = (lens % 640 + 1).astype(np.int32)
-        height = (lens % 480 + 1).astype(np.int32)
-        # integer-milli mean (sum*1000 // len): bit-equal across engines,
-        # so the DuckDB oracle can check this stage exactly
-        luma_milli = np.zeros(len(lens), dtype=np.int64)
-        if flat.size:
-            sums = np.add.reduceat(flat.astype(np.int64), offsets[nonempty])
-            luma_milli[nonempty] = sums * 1000 // lens[nonempty]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "media_type": batch.column("media_type"),
-                "width": pa.array(width),
-                "height": pa.array(height),
-                "mean_luma_milli": pa.array(luma_milli),
-                "n_bytes": batch.column("n_bytes"),
-            }
-        )
+    payloads = batch.column("payload")
+    lens = pc.binary_length(payloads).to_numpy().astype(np.int64)
+    flat = np.frombuffer(b"".join(payloads.to_pylist()), dtype=np.uint8) \
+        if batch.num_rows else np.array([], dtype=np.uint8)
+    offsets = np.zeros(len(lens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=offsets[1:])
+    nonempty = lens > 0
+    width = (lens % 640 + 1).astype(np.int32)
+    height = (lens % 480 + 1).astype(np.int32)
+    # integer-milli mean (sum*1000 // len): bit-equal across engines,
+    # so the DuckDB oracle can check this stage exactly
+    luma_milli = np.zeros(len(lens), dtype=np.int64)
+    if flat.size:
+        sums = np.add.reduceat(flat.astype(np.int64), offsets[nonempty])
+        luma_milli[nonempty] = sums * 1000 // lens[nonempty]
+    return pa.table(
+        {
+            "doc_id": batch.column("doc_id"),
+            "media_type": batch.column("media_type"),
+            "width": pa.array(width),
+            "height": pa.array(height),
+            "mean_luma_milli": pa.array(luma_milli),
+            "n_bytes": batch.column("n_bytes"),
+        }
+    )
 
 
 def attach_payloads(sf_dir: str):
@@ -120,17 +115,15 @@ def attach_payloads(sf_dir: str):
 
 
 def multimodal_features(sf_dir: str, batch_size: int = 512):
-    """The full plumbing pipeline: attach payloads → actor-pool decode
-    (fake) → feature table. The fake's features are pure byte arithmetic,
+    """The full plumbing pipeline: attach payloads → decode (fake) →
+    feature table. The fake's features are pure byte arithmetic,
     so a DuckDB oracle reproduces them exactly (ASCII corpus: code point
     == byte)."""
     media = attach_payloads(sf_dir)
     return media.map_batches(
-        FakeDecoder,
-        fn_constructor_kwargs={"media_type": "image"},
+        fake_decode,
         batch_format="pyarrow",
         batch_size=batch_size,   # small: binary rows are wide
-        concurrency=_pool(),
     )
 
 
@@ -152,39 +145,33 @@ FROM documents
 # a REAL stdlib codec path: RIFF/WAV audio decode (no external deps)
 # ---------------------------------------------------------------------------
 
-class WavDecoder:
+def wav_decode(batch: pa.Table) -> pa.Table:
     """Genuine audio decode with the stdlib ``wave`` codec: each payload
-    is a real RIFF/WAV container; the actor parses the header, reads the
-    PCM frames, and extracts (sample_rate, channels, frames, duration,
-    RMS amplitude). Decode is inherently per-payload (container format),
-    so the loop is per row INSIDE an actor-pool stage — the scale lever
-    is the pool, exactly like a PIL/libav decoder would run."""
+    is a real RIFF/WAV container; parse the header, read the PCM frames,
+    and extract (sample_rate, channels, frames, duration, RMS
+    amplitude). Decode is inherently per-payload (container format), so
+    the loop is per row inside one task — the scale lever is the number
+    of tasks, exactly like a PIL/libav decoder would run."""
+    import io
+    import wave
 
-    def __init__(self):
-        import wave  # codec bound once per actor
-
-        self._wave = wave
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import io
-
-        rows = []
-        for row in batch.to_pylist():
-            with self._wave.open(io.BytesIO(row["payload"]), "rb") as w:
-                rate, nch, nframes = (w.getframerate(), w.getnchannels(),
-                                      w.getnframes())
-                pcm = np.frombuffer(w.readframes(nframes), dtype=np.int16)
-            rms = int(np.sqrt(np.mean(pcm.astype(np.float64) ** 2))) \
-                if pcm.size else 0
-            rows.append({
-                "doc_id": row["doc_id"],
-                "sample_rate": rate,
-                "n_channels": nch,
-                "n_frames": nframes,
-                "duration_ms": nframes * 1000 // rate,
-                "rms": rms,
-            })
-        return pa.Table.from_pylist(rows, schema=_WAV_OUT_SCHEMA)
+    rows = []
+    for row in batch.to_pylist():
+        with wave.open(io.BytesIO(row["payload"]), "rb") as w:
+            rate, nch, nframes = (w.getframerate(), w.getnchannels(),
+                                  w.getnframes())
+            pcm = np.frombuffer(w.readframes(nframes), dtype=np.int16)
+        rms = int(np.sqrt(np.mean(pcm.astype(np.float64) ** 2))) \
+            if pcm.size else 0
+        rows.append({
+            "doc_id": row["doc_id"],
+            "sample_rate": rate,
+            "n_channels": nch,
+            "n_frames": nframes,
+            "duration_ms": nframes * 1000 // rate,
+            "rms": rms,
+        })
+    return pa.Table.from_pylist(rows, schema=_WAV_OUT_SCHEMA)
 
 
 #: declared decoder output schema: an EMPTY input block must still
@@ -246,18 +233,14 @@ def attach_wav_payloads(sf_dir: str):
 
 
 def multimodal_wav_decode(sf_dir: str, batch_size: int = 512):
-    """Real-codec pipeline: synth WAV payloads → actor-pool WavDecoder →
-    audio feature table. Exact DuckDB oracle: header fields are fixture
+    """Real-codec pipeline: synth WAV payloads → ``wav_decode`` → audio
+    feature table. Exact DuckDB oracle: header fields are fixture
     constants and the RMS is recomputed from the integer waveform
     formula (sum of squares < 2^53 stays exact; / and sqrt are IEEE
     correctly-rounded in both engines, so the truncated integer RMS
     matches bit-for-bit)."""
     return attach_wav_payloads(sf_dir).map_batches(
-        WavDecoder,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_pool(),
-    )
+        wav_decode, batch_format="pyarrow", batch_size=batch_size)
 
 
 MULTIMODAL_WAV_DECODE_SQL = f"""

@@ -15,8 +15,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from rfb_cnpj_etl_ray.sources.parquet import pool_size as _pool
 from rfb_cnpj_etl_ray.sources.parquet import read_table as _read_table
+from rfb_cnpj_etl_ray.stages.exchange import fetch
 
 TOP_K = 10
 
@@ -56,31 +56,25 @@ def ann_topk(sf_dir: str):
     """Brute-force cosine top-10 vs the vec_id-0 query. Each batch emits
     only its local top-k (k rows), so the global sort sees ~k×#batches
     rows, not the corpus."""
-    q = _query_vector(sf_dir)
-    q_ref = ray.put(q)
+    q_ref = ray.put(_query_vector(sf_dir))
 
-    class Score:
-        def __init__(self, ref):
-            self.q = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True)
-            sims = m @ self.q
-            out = pd.DataFrame(
-                {"vec_id": batch["vec_id"], "cosine": np.round(sims, 4)}
-            )
-            # sort+head, not nlargest: positional tie-breaks on the
-            # ROUNDED cosine could drop a globally-winning smaller
-            # vec_id at the local top-k boundary
-            return out.sort_values(["cosine", "vec_id"],
-                                   ascending=[False, True]).head(TOP_K)
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        sims = m @ fetch(q_ref)
+        out = pd.DataFrame(
+            {"vec_id": batch["vec_id"], "cosine": np.round(sims, 4)}
+        )
+        # sort+head, not nlargest: positional tie-breaks on the
+        # ROUNDED cosine could drop a globally-winning smaller
+        # vec_id at the local top-k boundary
+        return out.sort_values(["cosine", "vec_id"],
+                               ascending=[False, True]).head(TOP_K)
 
     ds = _read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    local = ds.map_batches(Score, fn_constructor_kwargs={"ref": q_ref},
-                           batch_format="pandas", concurrency=_pool())
+    local = ds.map_batches(score, batch_format="pandas")
     return local.sort(["cosine", "vec_id"], descending=[True, False]).limit(TOP_K)
 
 
@@ -191,40 +185,28 @@ def ann_ivf_topk(sf_dir: str):
     milli = np.rint(np.round(cn @ q, 4) * 10_000).astype(np.int64)
     probe_buckets = set(
         cids[np.lexsort((cids, -milli))[:NUM_PROBES]].tolist())
-    cent_ref = ray.put((cids, cents))
-    q_ref = ray.put(q)
+    side_ref = ray.put((cids, cents, q, sorted(probe_buckets)))
 
-    class ProbeScore:
-        def __init__(self, cent_ref, q_ref, probes):
-            self.cids, self.cents = ray.get(cent_ref)
-            self.q = ray.get(q_ref)
-            self.probes = list(probes)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-            assign, _ = _assign_batch(m, self.cids, self.cents)
-            mask = np.isin(assign, self.probes)
-            if not mask.any():
-                return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                                     "cosine": pd.Series([], dtype="float64")})
-            mn = m[mask] / np.linalg.norm(m[mask], axis=1, keepdims=True)
-            sims = mn @ self.q
-            out = pd.DataFrame(
-                {"vec_id": batch["vec_id"].to_numpy()[mask],
-                 "cosine": np.round(sims, 4)}
-            )
-            return out.sort_values(["cosine", "vec_id"],
-                                   ascending=[False, True]).head(TOP_K)
+    def probe_score(batch: pd.DataFrame) -> pd.DataFrame:
+        cids, cents, q, probes = fetch(side_ref)
+        m = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
+        assign, _ = _assign_batch(m, cids, cents)
+        mask = np.isin(assign, probes)
+        if not mask.any():
+            return pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
+                                 "cosine": pd.Series([], dtype="float64")})
+        mn = m[mask] / np.linalg.norm(m[mask], axis=1, keepdims=True)
+        out = pd.DataFrame(
+            {"vec_id": batch["vec_id"].to_numpy()[mask],
+             "cosine": np.round(mn @ q, 4)}
+        )
+        return out.sort_values(["cosine", "vec_id"],
+                               ascending=[False, True]).head(TOP_K)
 
     ds = _read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    local = ds.map_batches(
-        ProbeScore,
-        fn_constructor_kwargs={"cent_ref": cent_ref, "q_ref": q_ref,
-                               "probes": probe_buckets},
-        batch_format="pandas", concurrency=_pool(),
-    )
+    local = ds.map_batches(probe_score, batch_format="pandas")
     return local.sort(["cosine", "vec_id"], descending=[True, False]).limit(TOP_K)
 
 
@@ -324,7 +306,7 @@ LIMIT {TOP_K}
 # ---------------------------------------------------------------------------
 
 KNN_K = 5
-#: broadcast-side shard budget: keeps per-actor object refs and the
+#: broadcast-side shard budget: keeps per-worker shard views and the
 #: per-batch candidate width bounded as the corpus grows (ADVICE r4)
 _KNN_TARGET_SHARDS = 128
 
@@ -335,7 +317,7 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
 
     Shape: the corpus matrix broadcasts ONCE (``ray.put``; N×64 floats —
     at 100 TB the broadcast side is replaced by the IVF router below,
-    probing only nearest-centroid buckets, same ``__call__`` body), then
+    probing only nearest-centroid buckets, same per-batch body), then
     every batch computes one (batch×N) matmul and keeps k rows per
     vector. Ranking is on the ROUNDED similarity (4 decimals, both
     engines) with vec_id tie-break, so float summation order can never
@@ -344,7 +326,7 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
     + one small sort per batch, no Python loops."""
     # broadcast-side build STREAMS: each batch becomes one object-store
     # shard (``ray.put`` per block), so driver RSS stays O(batch) while
-    # the full matrix only ever materializes inside the actors (which
+    # the full matrix only ever materializes inside the workers (which
     # need it anyway). The brute-force contract is that the REFERENCE
     # side fits the object store (same contract as every broadcast join
     # here); when it doesn't, ann_ivf_topk's router replaces this
@@ -353,7 +335,7 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
     # bounded shard COUNT (ADVICE r4): size the shard rows from the
     # parquet metadata row count so ref fan-out and the per-batch
     # candidate hstack stay ~_KNN_TARGET_SHARDS wide no matter how big
-    # the corpus grows (each actor holds O(shards) refs and the
+    # the corpus grows (each worker holds O(shards) views and the
     # candidate matrix is B × (shards × k))
     import pyarrow.parquet as _pq
 
@@ -376,56 +358,52 @@ def knn_graph(sf_dir: str, k: int = KNN_K):
         m_b /= np.linalg.norm(m_b, axis=1, keepdims=True)
         shard_refs.append(ray.put((ids_b.astype(np.int64), m_b)))
 
-    class Neighbors:
-        def __init__(self, refs, k):
-            # shard views stay plasma-backed (zero-copy, read-only): all
-            # actors on a node share ONE physical corpus copy; nothing
-            # here concatenates a private heap replica
-            self.shards = [ray.get(r) for r in refs]  # once per actor
-            self.n_total = sum(len(ids) for ids, _ in self.shards)
-            self.k = k
+    # ONE broadcast object holding the shard refs: ``fetch`` resolves
+    # it to the shard values once per worker process (one cache slot,
+    # however many shards). The views stay plasma-backed (zero-copy,
+    # read-only): all workers on a node share ONE physical corpus copy
+    shards_ref = ray.put(shard_refs)
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            q = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-            q /= np.linalg.norm(q, axis=1, keepdims=True)
-            qids = batch["vec_id"].to_numpy()
-            kk = min(self.k, self.n_total - 1)
-            # per-shard local top-kk (local top-k ⊇ global top-k), then
-            # one global partition over the B×(shards×kk) candidates —
-            # peak memory is one B×n_shard key matrix, not B×N
-            cands = []
-            for ids, m in self.shards:
-                simr = np.round(q @ m.T, 4)  # 4-decimal pinned
-                # packed descending-sim / ascending-id key: int64 is
-                # exact (sim milli ≤ 2×10^4 → high word; ids < 2^31 →
-                # low word); rint, not a cast: 0.2563*10⁴ is 2562.999…
-                milli = np.rint(simr * 10_000).astype(np.int64)
-                key = ((10_000 - milli) << 32) + ids[None, :]
-                # self-exclusion: push own id past any real key
-                self_mask = qids[:, None] == ids[None, :]
-                key = np.where(self_mask, np.int64(2**62), key)
-                kl = min(kk, key.shape[1])
-                cands.append(np.partition(key, kl - 1, axis=1)[:, :kl])
-            key = np.hstack(cands) if len(cands) > 1 else cands[0]
-            part = np.partition(key, kk - 1, axis=1)[:, :kk]
-            part.sort(axis=1)
-            neigh = (part & 0xFFFFFFFF).astype(np.int64)
-            sim = (10_000 - (part >> 32)).astype(np.float64) / 10_000
-            b = part.shape[0]
-            return pd.DataFrame({
-                "vec_id": np.repeat(batch["vec_id"].to_numpy(), kk)
-                .astype("int64"),
-                "rank": np.tile(np.arange(1, kk + 1, dtype=np.int64), b),
-                "neighbor_id": neigh.reshape(-1),
-                "cosine": sim.reshape(-1),
-            })
+    def neighbors(batch: pd.DataFrame) -> pd.DataFrame:
+        shards = fetch(shards_ref)
+        q = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        qids = batch["vec_id"].to_numpy()
+        kk = min(k, sum(len(ids) for ids, _ in shards) - 1)
+        # per-shard local top-kk (local top-k ⊇ global top-k), then
+        # one global partition over the B×(shards×kk) candidates —
+        # peak memory is one B×n_shard key matrix, not B×N
+        cands = []
+        for ids, m in shards:
+            simr = np.round(q @ m.T, 4)  # 4-decimal pinned
+            # packed descending-sim / ascending-id key: int64 is
+            # exact (sim milli ≤ 2×10^4 → high word; ids < 2^31 →
+            # low word); rint, not a cast: 0.2563*10⁴ is 2562.999…
+            milli = np.rint(simr * 10_000).astype(np.int64)
+            key = ((10_000 - milli) << 32) + ids[None, :]
+            # self-exclusion: push own id past any real key
+            self_mask = qids[:, None] == ids[None, :]
+            key = np.where(self_mask, np.int64(2**62), key)
+            kl = min(kk, key.shape[1])
+            cands.append(np.partition(key, kl - 1, axis=1)[:, :kl])
+        key = np.hstack(cands) if len(cands) > 1 else cands[0]
+        part = np.partition(key, kk - 1, axis=1)[:, :kk]
+        part.sort(axis=1)
+        neigh = (part & 0xFFFFFFFF).astype(np.int64)
+        sim = (10_000 - (part >> 32)).astype(np.float64) / 10_000
+        b = part.shape[0]
+        return pd.DataFrame({
+            "vec_id": np.repeat(batch["vec_id"].to_numpy(), kk)
+            .astype("int64"),
+            "rank": np.tile(np.arange(1, kk + 1, dtype=np.int64), b),
+            "neighbor_id": neigh.reshape(-1),
+            "cosine": sim.reshape(-1),
+        })
 
     ds = _read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    return ds.map_batches(Neighbors,
-                          fn_constructor_kwargs={"refs": shard_refs, "k": k},
-                          batch_format="pandas", concurrency=_pool())
+    return ds.map_batches(neighbors, batch_format="pandas")
 
 
 KNN_GRAPH_SQL = f"""
@@ -485,10 +463,8 @@ def _kmeans_fit(sf_dir: str, k: int = KMEANS_K,
     tie rule are reproduced verbatim by the unrolled-Lloyd SQL CTEs).
 
     Scale shape per iteration: centroids broadcast once (``ray.put``,
-    k×d floats; tasks ``ray.get`` it zero-copy from the object store —
-    a task pool, not an actor pool: there is no per-worker state worth
-    a pool spin-up here, and hash-aggregate actor pools were 90% of the
-    wall time at small scale); each batch does ONE matmul and collapses
+    k×d floats; tasks ``ray.get`` it zero-copy from the object store);
+    each batch does ONE matmul and collapses
     to k×(d+1) partial-sum rows; a coalescing ``repartition`` + one
     per-block combine bounds the driver collect to ≤ fold_width·k·(d+1)
     rows no matter how many input blocks exist. Empty clusters drop out

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from rfb_cnpj_etl_ray.hashing import partition_ids
-from rfb_cnpj_etl_ray.stages.exchange import fetch, tree_fold
+from rfb_cnpj_etl_ray.stages.exchange import fetch, sum_by, tree_fold
 
 #: RE2's ``\s`` (DuckDB's regex engine, so the whitespace of every SQL
 #: twin) is the space plus these four ASCII controls and nothing else;
@@ -108,15 +108,6 @@ def _read_docs(sf_dir: str, columns=None):
     from rfb_cnpj_etl_ray.sources.parquet import read_table
 
     return read_table(f"{sf_dir}/documents.parquet", columns=columns)
-
-
-def _sum_by(keys: list[str], col: str):
-    """``tree_fold`` combine for count partials: sum ``col`` per key."""
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False)[col].sum()
-
-    return combine
 
 
 #: hash buckets of ``_topk_by_count``'s keyed fold: each bucket's keys
@@ -470,7 +461,7 @@ def length_histogram(sf_dir: str):
         return out
 
     partials = ds.map_batches(bucketize, batch_format="pandas")
-    return tree_fold(partials, _sum_by(["bucket"], "n_docs"))
+    return tree_fold(partials, sum_by(["bucket"], "n_docs"))
 
 
 LENGTH_HISTOGRAM_SQL = """
@@ -490,7 +481,7 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET):
     """Greedy sequence packing: within each fixed doc_id range
     (``doc_id // PACK_GROUP``), walk documents in doc_id order and close
     a pack when adding the next doc would exceed ``budget`` characters —
-    the pretraining-batch packing operator. The keyed hash exchange
+    the pretraining-batch packing operator. The keyed exchange
     co-locates each group; the greedy walk is inherently sequential
     (data-dependent reset) but bounded to PACK_GROUP rows per group.
     ``pack_id = group * 1_000_000 + local`` is globally unique."""
@@ -505,7 +496,7 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET):
                             ("pack_id", pa.int64()),
                             ("n_chars", pa.int64())])
         if batch.empty:
-            # an empty hash partition must still carry the declared
+            # an empty exchange block must still carry the declared
             # schema, or Ray logs a schema-consistency warning
             return schema.empty_table()
         b = batch.sort_values("doc_id").reset_index(drop=True)
@@ -739,7 +730,7 @@ def tfidf_top_terms(sf_dir: str):
         return g
 
     df_tbl = tree_fold(docs.map_batches(df_partial, batch_format="pandas"),
-                       _sum_by(["w"], "df")).to_pandas()
+                       sum_by(["w"], "df")).to_pandas()
     idf = {} if df_tbl.empty else {
         w: (n_docs * _IDF_SCALE) // int(d)
         for w, d in zip(df_tbl["w"], df_tbl["df"])}
@@ -1112,7 +1103,7 @@ def source_mix_sample(sf_dir: str, k: int = MIX_TOTAL):
     masses = tree_fold(
         _read_docs(sf_dir, ["source", "n_chars"])
         .map_batches(mass, batch_format="pandas"),
-        _sum_by(["source"], "chars"),
+        sum_by(["source"], "chars"),
     ).to_pandas()  # one row per source: bounded like every dimension broadcast
     w = {} if masses.empty else {
         s: math.isqrt(int(c))
@@ -1365,7 +1356,7 @@ def _corpus_token_counts(sf_dir: str):
 
     tbl = tree_fold(_read_docs(sf_dir, ["text"])
                     .map_batches(partial, batch_format="pandas"),
-                    _sum_by(["token"], "n")).to_pandas()
+                    sum_by(["token"], "n")).to_pandas()
     if tbl.empty:
         return {}
     return dict(zip(tbl["token"], (int(x) for x in tbl["n"])))
@@ -1682,7 +1673,7 @@ def token_length_histogram(sf_dir: str):
         return pd.DataFrame(
             rows, columns=["source"] + [name for _, _, name in _TOKLEN_QS])
 
-    return tree_fold(partials, _sum_by(["source", "bin"], "cnt"), quantiles)
+    return tree_fold(partials, sum_by(["source", "bin"], "cnt"), quantiles)
 
 
 TOKEN_LENGTH_HISTOGRAM_SQL = f"""
@@ -1785,7 +1776,7 @@ def cms_token_counts(sf_dir: str):
         return pd.DataFrame(rows, columns=["token", "cms_count",
                                            "exact_count"])
 
-    return tree_fold(partials, _sum_by(["row", "bucket"], "cnt"), finish)
+    return tree_fold(partials, sum_by(["row", "bucket"], "cnt"), finish)
 
 
 _CMS_POLY_SQL = (
@@ -2018,7 +2009,7 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
 
     # summing per token keeps the candidate union (counts are unused)
     # and Στ (the "" row) in one combine
-    sum_n = _sum_by(["token"], "n")
+    sum_n = sum_by(["token"], "n")
     union = tree_fold(_read_docs(sf_dir, ["text"]).map_batches(
         local_tops, batch_format="pandas"), sum_n).to_pandas()
     if union.empty:                       # no tokens at all
@@ -2123,7 +2114,7 @@ def refined_quantiles(sf_dir: str):
     located = tree_fold(
         _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
             hist_partial, batch_format="pandas"),
-        _sum_by(["lang", "bin"], "cnt"), locate).to_pandas()
+        sum_by(["lang", "bin"], "cnt"), locate).to_pandas()
     if located.empty:
         return ray.data.from_pandas(pd.DataFrame({
             "lang": pd.Series([], dtype=object),
@@ -2178,7 +2169,7 @@ def refined_quantiles(sf_dir: str):
     partials = _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
         exact_partial, batch_format="pandas")
     # the folded counts table is ≤ langs × 3 × _RQ_W rows
-    return tree_fold(partials, _sum_by(["lang", "v"], "cnt"), pick)
+    return tree_fold(partials, sum_by(["lang", "v"], "cnt"), pick)
 
 
 REFINED_QUANTILES_SQL = """

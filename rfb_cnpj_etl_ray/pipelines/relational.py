@@ -8,11 +8,14 @@ value-hash matches).
 
 Patterns used deliberately (SURVEY.md §1.2, §4):
 * dimension lookups are **broadcast joins** — ``ray.put`` the small side
-  once, read it per actor/batch, map with pandas/numpy — never a shuffle
-  (reference analog: the static dimension tables, db_patch.py:23-57);
-* large-large joins use ``Dataset.join`` (hash-partitioned shuffle join);
-* aggregations pre-reduce inside ``map_batches`` before the small final
-  ``groupby`` where the key cardinality is low;
+  once, ``stages.exchange.fetch`` it once per worker process, map with
+  pandas/numpy — never a shuffle (reference analog: the static
+  dimension tables, db_patch.py:23-57);
+* large-large joins use ``stages.joins.keyed_join`` (one keyed sort
+  exchange, then one Arrow join per block);
+* aggregations pre-reduce inside ``map_batches``; low-cardinality
+  partials fold through ``stages.exchange.tree_fold``;
+* everything runs on Ray tasks: no operator here starts an actor;
 * all hot-path transforms are vectorized Arrow/pandas — no per-row Python.
 
 Floats: every aggregate that sums doubles is rounded (ROUND(x, 2)) on
@@ -31,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from rfb_cnpj_etl_ray.sources.parquet import pool_size as _pool
+from rfb_cnpj_etl_ray.stages.exchange import fetch, sum_by, tree_fold
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -59,7 +62,7 @@ def lww_latest_events(sf_dir: str):
         return lww_reduce(batch, key="user_id", lsn="event_id")
 
     ds = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    # final reduce: keyed hash exchange, then one vectorized LWW fold per
+    # final reduce: keyed exchange, then one vectorized LWW fold per
     # BLOCK (each key is wholly contained) — no per-group dispatch
     out = repartition_by_key(ds, ["user_id"]).map_batches(
         partial, batch_format="pyarrow", batch_size=None
@@ -137,19 +140,14 @@ def customers_without_orders(sf_dir: str):
     )
     key_ref = ray.put(np.array(orders_keys, dtype=np.int64))
 
-    class AntiJoin:
-        def __init__(self, ref):
-            self.keys = ray.get(ref)  # once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = np.isin(batch.column("c_custkey").to_numpy(), self.keys,
-                           invert=True)
-            return batch.filter(pa.array(mask))
+    def anti_join(batch: pa.Table) -> pa.Table:
+        mask = np.isin(batch.column("c_custkey").to_numpy(), fetch(key_ref),
+                       invert=True)
+        return batch.filter(pa.array(mask))
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    return ds.map_batches(AntiJoin, fn_constructor_kwargs={"ref": key_ref},
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          concurrency=_pool())
+    return ds.map_batches(anti_join, batch_format="pyarrow",
+                          zero_copy_batch=True)
 
 
 CUSTOMERS_WITHOUT_ORDERS_SQL = """
@@ -160,8 +158,8 @@ WHERE c_custkey NOT IN (SELECT o_custkey FROM orders WHERE o_totalprice > 350000
 
 def customers_without_orders_bucketed(sf_dir: str):
     """Same anti-join, LARGE-LARGE path: no broadcast key set — both
-    sides hash-exchange on the key (each key wholly in one block) and
-    every block filters vectorized. The shape that survives when the
+    sides go through one keyed exchange (each key wholly in one block)
+    and every block anti-joins vectorized. The shape that survives when the
     parent side outgrows memory (stages/joins.bucketed_anti_join)."""
     from rfb_cnpj_etl_ray.stages.joins import bucketed_anti_join
 
@@ -195,35 +193,24 @@ def customers_without_orders_bloom(sf_dir: str):
     bloom = build_bloom(orders_keys, "o_custkey", n_keys_hint=100_000)
     bloom_ref = ray.put((bloom.m, bloom.k, bloom.bits))
 
-    class Split:
-        def __init__(self, ref, want_members: bool):
-            m, k, bits = ray.get(ref)  # once per actor
-            self.bloom = BloomFilter(m, k, bits=bits)
-            self.want = want_members
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            member = self.bloom.might_contain(batch.column("c_custkey"))
-            keep = member if self.want else ~member
-            return batch.filter(pa.array(keep))
+    def split(want_members: bool):
+        def keep(batch: pa.Table) -> pa.Table:
+            m, k, bits = fetch(bloom_ref)
+            member = BloomFilter(m, k, bits=bits).might_contain(
+                batch.column("c_custkey"))
+            return batch.filter(pa.array(member if want_members else ~member))
+        return keep
 
     customers = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     definite_out = customers.map_batches(
-        Split, fn_constructor_kwargs={"ref": bloom_ref, "want_members": False},
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(),
-    )
+        split(False), batch_format="pyarrow", zero_copy_batch=True)
     candidates = customers.map_batches(
-        Split, fn_constructor_kwargs={"ref": bloom_ref, "want_members": True},
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=_pool(),
-    )
+        split(True), batch_format="pyarrow", zero_copy_batch=True)
+    # materialized before the union: its keyed exchange must not run
+    # beside the streaming branch (see stages.joins.keyed_join)
     verified = bucketed_anti_join(candidates, orders_keys,
-                                  "c_custkey", "o_custkey")
-    out = definite_out.union(verified)
-    # the union's captured context governs planning for the whole tree;
-    # the verified branch contains a keyed (hash-shuffle) repartition
-    from ray.data.context import ShuffleStrategy
-
-    out.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    return out
+                                  "c_custkey", "o_custkey").materialize()
+    return definite_out.union(verified)
 
 
 # ---------------------------------------------------------------------------
@@ -399,50 +386,32 @@ GROUP BY l_returnflag, l_linestatus
 def revenue_by_nation(sf_dir: str):
     """Only the genuinely dimension-sized side (nation, 25 rows) is
     broadcast; customer and orders are both fact-sized, so
-    orders⋈customer AND lineitem⋈orders run as hash-partitioned
-    ``Dataset.join``s — nothing fact-sized ever lands on the driver.
-    Revenue is pre-reduced per batch to per-order partials before its
-    shuffle. Rows whose customer lacks a nation drop (inner-join
-    semantics, matching the SQL oracle).
+    orders⋈customer AND lineitem⋈orders run as ``keyed_join``s —
+    nothing fact-sized ever lands on the driver. Revenue is pre-reduced
+    per batch to per-order partials before its exchange. Rows whose
+    customer lacks a nation drop (inner-join semantics, matching the
+    SQL oracle).
     Reference flagship query: docs/exemplos/query_sqlite.md:11-79."""
+    from rfb_cnpj_etl_ray.sources.parquet import from_pandas_clean
+    from rfb_cnpj_etl_ray.stages.joins import keyed_join
+
     nation_tbl = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     nation_ref = ray.put(dict(zip(nation_tbl["n_nationkey"],
                                   nation_tbl["n_name"])))
-    # join width from cluster size, like exchange.py: each hash-join
-    # partition is a long-lived aggregator actor with ~1s fixed setup,
-    # so fewer/larger partitions win until a partition outgrows worker
-    # heap (measured 8 ≫ 16/32 at sf0.1 on 32 vCPUs); GRAFT_JOIN_PARTS
-    # overrides for deploy-time tuning
-    import os as _os
 
-    # A/B at sf0.1/32cpus: 4 parts 4.4s, 8 parts 5.6s, 16 parts 7.2s —
-    # the post-pre-reduce join inputs are small, so setup dominates
-    npart = int(_os.environ.get("GRAFT_JOIN_PARTS", 0)) or \
-        max(2, int(ray.cluster_resources().get("CPU", 8)) // 8)
+    def attach_nation(batch: pd.DataFrame) -> pa.Table:
+        batch["n_name"] = batch["c_nationkey"].map(fetch(nation_ref))
+        # inner-join semantics: a customer without a nation row
+        # contributes nothing (the oracle's JOIN drops it too)
+        return from_pandas_clean(
+            batch.dropna(subset=["n_name"])[["c_custkey", "n_name"]])
 
-    class AttachNation:
-        def __init__(self, ref):
-            self.map = ray.get(ref)  # 25 entries, once per actor
-
-        def __call__(self, batch: pd.DataFrame):
-            from rfb_cnpj_etl_ray.sources.parquet import from_pandas_clean
-
-            batch["n_name"] = batch["c_nationkey"].map(self.map)
-            # inner-join semantics: a customer without a nation row
-            # contributes nothing (the oracle's JOIN drops it too)
-            return from_pandas_clean(
-                batch.dropna(subset=["n_name"])[["c_custkey", "n_name"]])
-
-    customer_n = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        AttachNation, fn_constructor_kwargs={"ref": nation_ref},
-        batch_format="pandas", concurrency=_pool(),
-    )
+    customer_n = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]
+                       ).map_batches(attach_nation, batch_format="pandas")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     lineitem = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
-
-    from rfb_cnpj_etl_ray.sources.parquet import from_pandas_clean
 
     def revenue_partial(batch: pd.DataFrame) -> pa.Table:
         batch["revenue"] = batch["l_extendedprice"] * (1 - batch["l_discount"])
@@ -453,10 +422,7 @@ def revenue_by_nation(sf_dir: str):
     # join 1 (the only orders-scale exchange): per-order revenue
     # partials ⋈ orders → (o_custkey, revenue)
     li = lineitem.map_batches(revenue_partial, batch_format="pandas")
-    joined = li.join(
-        orders, join_type="inner", num_partitions=npart,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
+    joined = keyed_join(li, orders, "l_orderkey", "o_orderkey", "inner")
 
     # pre-reduce per custkey per block BEFORE the second exchange: the
     # customer join then moves ≤|customers| rows per block, not orders
@@ -467,10 +433,8 @@ def revenue_by_nation(sf_dir: str):
     per_cust = joined.map_batches(custkey_partial, batch_format="pandas")
 
     # join 2 is customer-cardinality on both sides
-    withn = per_cust.join(
-        customer_n, join_type="inner", num_partitions=npart,
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
+    withn = keyed_join(per_cust, customer_n, "o_custkey", "c_custkey",
+                       "inner")
     from ray.data.aggregate import Sum
 
     out = withn.groupby("n_name").aggregate(Sum("revenue", alias_name="revenue"))
@@ -501,7 +465,7 @@ GROUP BY n_name
 def parts_per_order(sf_dir: str):
     """Per-order comma-joined sorted part keys — the correlated
     GROUP_CONCAT subquery of the flagship reference query
-    (query_sqlite.md:57-61). One keyed hash exchange, then the whole
+    (query_sqlite.md:57-61). One keyed exchange, then the whole
     block reduces in a single vectorized pandas groupby — no per-order
     Python dispatch (at |orders| cardinality ``map_groups`` would pay
     one interpreter call per group)."""
@@ -645,7 +609,12 @@ def _ckpt_writer(path_str: str):
     parquet file under ``path_str`` — the fused fold+checkpoint write
     (same staged-parts recipe as the CDC merge; the ``_DONE`` marker the
     caller drops afterwards is the commit point, so a crash mid-write
-    leaves only an unmarked dir that the next run rmtree's)."""
+    leaves only an unmarked dir that the next run rmtree's).
+
+    A part is named after its block's smallest ``(user_id, hour)`` key,
+    unique after the keyed aggregate, and lands by ``os.replace`` from
+    a dot-temp file: a retried or re-executed task rewrites its part
+    instead of adding a second copy."""
 
     def write_block(t: pa.Table) -> pa.Table:
         # re-pin the key's surface type first (Ray's Aggregate
@@ -655,13 +624,19 @@ def _ckpt_writer(path_str: str):
             t.schema.get_field_index("hour"), "hour",
             pc.cast(t.column("hour"), pa.timestamp("us")))
         if t.num_rows:
+            import os
             import uuid
             from pathlib import Path
 
             import pyarrow.parquet as _pq
 
-            _pq.write_table(
-                t, Path(path_str) / f"part-{uuid.uuid4().hex}.parquet")
+            user = pc.min(t.column("user_id"))
+            hour = pc.min(t.filter(pc.equal(t.column("user_id"), user))
+                          .column("hour"))
+            tmp = Path(path_str) / f".part-{uuid.uuid4().hex}.tmp"
+            _pq.write_table(t, tmp)
+            os.replace(tmp, Path(path_str)
+                       / f"part-{user.as_py()}-{hour.value}.parquet")
         return t
 
     return write_block
@@ -810,7 +785,7 @@ INCREMENTAL_HOURLY_ACTIVITY_SQL = HOURLY_USER_ACTIVITY_SQL
 
 def lagged_events(sf_dir: str):
     """Per-key LAG: each event paired with the previous event's value in
-    (event_id) order. Keyed hash exchange, then the LAG computes over the
+    (event_id) order. Keyed exchange, then the LAG computes over the
     whole block with vectorized ``groupby(...).shift()`` — one pandas
     kernel per block, not one Python call per user (no watermarks needed:
     the window frame is the grouping key + explicit order column)."""
@@ -838,7 +813,7 @@ FROM events
 def running_user_totals(sf_dir: str):
     """Per-key running aggregate (cumulative sum ordered by event_id) —
     the unbounded-preceding window frame as a block-wide vectorized
-    ``groupby(...).cumsum()`` after a keyed hash exchange."""
+    ``groupby(...).cumsum()`` after a keyed exchange."""
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
@@ -867,14 +842,14 @@ FROM events
 # ---------------------------------------------------------------------------
 # as-of join — an operator Ray Data lacks natively (SURVEY §2 "custom
 # operators": composition of groupby + in-group merge_asof; partitioning
-# assumption: both sides hash-partition on the join key, so each group
-# holds one key's full history)
+# assumption: one keyed exchange on the join key puts each key's full
+# history in one block)
 # ---------------------------------------------------------------------------
 
 def asof_join_last_purchase(sf_dir: str):
     """For every click event, the value of the same user's most recent
     STRICTLY-EARLIER purchase event (null if none) — the classic
-    event-stream as-of join. Keyed hash exchange on user_id, then ONE
+    event-stream as-of join. Keyed exchange on user_id, then ONE
     ``pd.merge_asof(..., by="user_id")`` over the whole block — pandas
     does the per-key asof matching in a single C pass, no per-user
     Python dispatch."""
@@ -1042,9 +1017,10 @@ def session_windows(sf_dir: str):
     ``_SESSION_GAP_MIN`` minutes share a session; a strictly-greater gap
     opens a new one. Output one row per session with start/end, event
     count and exact integer-cent value sum. Partitioning assumption:
-    user_id hash exchange puts each user's full history in one block, so
-    gap detection is ``diff`` + ``cumsum`` over run boundaries — no
-    per-user Python dispatch, no watermark state (batch semantics)."""
+    the user_id keyed exchange puts each user's full history in one
+    block, so gap detection is ``diff`` + ``cumsum`` over run
+    boundaries — no per-user Python dispatch, no watermark state (batch
+    semantics)."""
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
@@ -1099,9 +1075,9 @@ FROM sess GROUP BY user_id, session_idx
 
 # ---------------------------------------------------------------------------
 # exact distinct-count per group — COUNT(DISTINCT) at scale: dedup where
-# the DATA lives (each user_id's rows land in one block via the hash
+# the DATA lives (each user_id's rows land in one block via the keyed
 # exchange, so per-block drop_duplicates IS global dedup), then a tiny
-# keyed Sum. No hot-key skew: the exchange keys on the high-cardinality
+# ``tree_fold`` Sum. No hot-key skew: the exchange keys on the high-cardinality
 # side (user_id), not the handful of event_type groups.
 # ---------------------------------------------------------------------------
 
@@ -1123,16 +1099,9 @@ def distinct_users_per_type(sf_dir: str):
     partials = repartition_by_key(ds, ["user_id"]).map_batches(
         distinct_partial, batch_format="pandas", batch_size=None)
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("event_type", as_index=False).agg(
-            n_users=("partial", "sum"))
-
-    # partials are ≤ blocks × |event_type| rows — coalesce (NOT a second
-    # shuffle: a groupby here would inherit the exchange's HASH_SHUFFLE
-    # context and hold a second aggregator actor pool in the same plan,
-    # starving small clusters) and finish with one vectorized groupby
-    return partials.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None)
+    # partials are ≤ blocks × |event_type| rows: a task-only fold
+    return tree_fold(partials, sum_by(["event_type"], "partial"),
+                     lambda df: df.rename(columns={"partial": "n_users"}))
 
 
 DISTINCT_USERS_PER_TYPE_SQL = """
@@ -1153,21 +1122,17 @@ _QUANTILES = (0.5, 0.9)
 
 def quantity_quantiles(sf_dir: str):
     """Exact per-returnflag p50/p90 of l_quantity. Shape: per-batch
-    ``value_counts`` partial (Arrow→pandas on 2 columns only) → Sum over
-    (flag, quantity) — a ≤ groups×distinct-values table — → per-flag
-    rank selection from cumulative counts. Discrete quantile rank is
+    ``value_counts`` partial (Arrow→pandas on 2 columns only) →
+    ``tree_fold`` Sum over (flag, quantity) — a ≤ groups×distinct-values
+    table — → per-flag rank selection from cumulative counts at the
+    fold's root. Discrete quantile rank is
     ``ceil(q·n)`` (DuckDB ``quantile_disc`` semantics; float product is
     exact for q ∈ {.5, .9} — error < half-ulp, verified)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["l_returnflag", "l_quantity"], as_index=False)
         return g.agg(cnt=("l_quantity", "size"))
-
-    counts = ds.map_batches(count_partial, batch_format="pandas").groupby(
-        ["l_returnflag", "l_quantity"]).aggregate(Sum("cnt", alias_name="cnt"))
 
     def quantiles_block(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -1182,9 +1147,10 @@ def quantity_quantiles(sf_dir: str):
         return pd.DataFrame(rows, columns=["l_returnflag", "p50_qty",
                                            "p90_qty"])
 
-    # the counts table is ≤ flags × 50 rows — one block, one kernel
-    return counts.repartition(1).map_batches(
-        quantiles_block, batch_format="pandas", batch_size=None)
+    # the counts table is ≤ flags × 50 rows: fold it, pick at the root
+    return tree_fold(
+        ds.map_batches(count_partial, batch_format="pandas"),
+        sum_by(["l_returnflag", "l_quantity"], "cnt"), quantiles_block)
 
 
 QUANTITY_QUANTILES_SQL = """
@@ -1505,10 +1471,8 @@ def retention_cohorts(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        # cohort key stays INT64 (days since epoch) through the shuffle:
-        # datetime keys round-trip through numpy datetime64[D] inside
-        # Ray's hash aggregators, churning actors (and at 4 CPUs the
-        # chained exchange→groupby starves outright); integers are inert
+        # cohort key stays an INT64 day ordinal through the second
+        # exchange; ``combine`` projects it back to timestamp[us]
         day = pd.Series(
             df["ts"].to_numpy().astype("datetime64[D]").astype(np.int64),
             index=df.index)  # precision-agnostic (ns or us blocks)
@@ -1540,10 +1504,8 @@ def retention_cohorts(sf_dir: str):
             "n_users": pa.array(g["n"] if len(g) else [], pa.int64()),
         })
 
-    # second keyed exchange (cohort_day), NOT groupby().aggregate: Ray's
-    # hash-aggregate actor pool chained behind the first exchange
-    # starves at 4 CPUs; two chained exchanges + per-block combines
-    # schedule cleanly (same pattern as decontaminate_val)
+    # second keyed exchange (cohort_day): each cohort's partials meet in
+    # one block, where ``combine`` sums them
     partials = repartition_by_key(ds, ["user_id"]).map_batches(
         partial, batch_format="pandas", batch_size=None)
     return repartition_by_key(partials, ["cohort_day"]).map_batches(
@@ -1624,8 +1586,8 @@ def hll_distinct_users(sf_dir: str):
     """Approximate ``COUNT(DISTINCT user_id)`` per event_type via m=256
     HyperLogLog registers. Per batch: Knuth hash → (bucket, rank of
     leading 1 in the remaining 24 bits) → per-(type, bucket) max — a
-    ≤ |types|×256-row partial regardless of batch size. One coalesce +
-    pandas max-fold finishes the registers; the raw estimate
+    ≤ |types|×256-row partial regardless of batch size. A ``tree_fold``
+    of per-register maxima finishes the registers; the raw estimate
     floor(alpha·m²·2^25 / Σ 2^(-M_j)·2^25) is computed in exact integer
     math, with the standard small-range correction (linear counting
     m·ln(m/V) when raw ≤ 2.5·m and V>0 registers are zero) read from a
@@ -1651,9 +1613,11 @@ def hll_distinct_users(sf_dir: str):
     partials = ds.map_batches(
         register_partial, batch_format="pandas")
 
-    def estimate(df: pd.DataFrame) -> pd.DataFrame:
-        reg = df.groupby(["event_type", "bucket"], as_index=False).agg(
+    def max_rank(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(["event_type", "bucket"], as_index=False).agg(
             rnk=("rnk", "max"))
+
+    def estimate(reg: pd.DataFrame) -> pd.DataFrame:
         rows = []
         top = np.int64(1) << _HLL_WBITS  # 2^24 == a zero register's term
         for etype, g in reg.groupby("event_type", sort=True):
@@ -1670,8 +1634,7 @@ def hll_distinct_users(sf_dir: str):
             rows.append((etype, est))
         return pd.DataFrame(rows, columns=["event_type", "hll_estimate"])
 
-    return partials.repartition(1).map_batches(
-        estimate, batch_format="pandas", batch_size=None)
+    return tree_fold(partials, max_rank, estimate)
 
 
 _HLL_LC_VALUES = ", ".join(

@@ -4,7 +4,7 @@ Parquet files written by pandas embed a ``b'pandas'`` key in the Arrow
 schema metadata; ``hash(schema)`` on such a schema raises ``unhashable
 type: 'dict'`` (pyarrow 16), which defeats Ray Data's schema-hash
 deduplication and spams "Failed to hash the schemas" warnings from every
-read and shuffle aggregator that touches the blocks (VERDICT r2 #7).
+operator that touches the blocks (VERDICT r2 #7).
 
 ``read_table`` pins a DECLARED metadata-free schema on the dataset at
 the read (one footer-only ``pq.read_schema`` on the driver), so every
@@ -38,8 +38,8 @@ def read_table(path: str, columns: list[str] | None = None, **kwargs):
 def from_pandas_clean(df) -> pa.Table:
     """``pa.Table.from_pandas`` without the ``b'pandas'`` schema metadata
     (whose hash raises inside Ray's schema dedup — see module docstring).
-    Use for map_batches stages that feed shuffles/joins so the aggregator
-    sees one stable, hashable schema."""
+    Use for map_batches stages that feed exchanges/joins so every block
+    carries one stable, hashable schema."""
     return pa.Table.from_pandas(
         df, preserve_index=False).replace_schema_metadata(None)
 
@@ -60,17 +60,3 @@ def sized_blocks(paths, floor: int = 8, target_bytes: int = 32 << 20) -> int:
 
     total = sum(os.stat(p).st_size for p in paths)
     return int(max(floor, total // target_bytes))
-
-
-def pool_size() -> tuple[int, int]:
-    """Actor-pool (min, max) for stateless-ish map stages: pre-warm 2
-    actors on real clusters (autoscale-from-1 measurably delays short
-    sf0.1 stages: token_stats 2.6 s → 1.9 s), max a quarter of the
-    cluster CPUs so four such stages can coexist without starving the
-    wide operators.  On tiny clusters (< 16 CPUs) the floor stays at 1:
-    a pipeline with two such stages would otherwise PIN min×2 actors
-    and starve its own upstream read — a hard deadlock at 4 CPUs."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return (2 if cpus >= 16 else 1, max(4, cpus // 4))

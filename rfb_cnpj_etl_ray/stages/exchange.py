@@ -1,16 +1,15 @@
-"""Block exchanges the operators share.
+"""Block exchanges the operators share. Every one runs on Ray tasks
+only: nothing here starts an actor, so an operator built from them
+finishes on a one-CPU cluster.
 
-* ``repartition_by_key`` — keyed block exchange: hash-partition a
-  Dataset so every row of a key lands in exactly one block, enabling
-  per-BATCH vectorized group work (``map_batches(fn, batch_size=None)``
-  with pandas/Arrow kernels over the whole frame) instead of one Python
-  ``map_groups`` dispatch per group — the difference between O(keys)
-  Python calls and O(blocks) at 1e8+ keys. This is the per-block path
-  the engine's own LWW merge uses (stages/merge.py): shuffle once by key
-  hash, then every downstream reduce is a columnar kernel over run
-  boundaries.
+* ``repartition_by_key`` — the keyed block exchange: every row of a key
+  lands in exactly one block, so the per-key work that follows is one
+  vectorized kernel per block (``map_batches(fn, batch_size=None)``),
+  not one Python call per group. It is Ray Data's task sort, a range
+  exchange on sampled boundaries.
 * ``tree_fold`` — the one combine of per-block partials: a task-only
   fan-in tree, so only the root's rows reach the driver.
+* ``sum_by`` — the ``tree_fold`` combine of count partials.
 * ``fetch`` — broadcast side inputs (``ray.put`` refs) into plain
   stateless tasks, deserialized once per worker process.
 * ``run_tasks`` — one plain Ray task per item for per-partition and
@@ -24,40 +23,19 @@ from collections import OrderedDict
 
 import ray
 import ray.data
-from ray.data.context import ShuffleStrategy
 
 
-def repartition_by_key(
-    ds: "ray.data.Dataset",
-    keys: list[str],
-    num_blocks: int | None = None,
-) -> "ray.data.Dataset":
-    """Hash-partition ``ds`` on ``keys`` into ``num_blocks`` blocks (one
-    key never spans two blocks). Uses Ray's hash-shuffle operator; the
-    required ``shuffle_strategy`` override is applied to THIS pipeline's
-    captured DataContext only (each root read captures its own copy), so
-    other datasets in the session keep the default sort-shuffle.
+def repartition_by_key(ds: "ray.data.Dataset", keys: list[str]
+                       ) -> "ray.data.Dataset":
+    """Exchange ``ds`` so that all rows of one ``keys`` value share one
+    block (``tests/test_range_exchange.py`` pins this).
 
-    ``num_blocks`` defaults to half the cluster CPU count (each hash
-    partition costs a long-lived shuffle-actor slot, and fewer/larger
-    blocks amortize that fixed setup — measured 3.7s→2.3s on the lww
-    bench going 32→8 blocks at sf0.1) — at multi-node scale pass an
-    explicit count sized so a block fits a worker's heap.
+    This is ``ds.sort(keys)``: map tasks split every block on sampled
+    range boundaries and reduce tasks merge each range, so which block
+    a row lands in depends only on its key and the boundaries — equal
+    keys never straddle one. Blocks also come out sorted by ``keys``.
     """
-    if num_blocks is None:
-        num_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) // 2)
-
-    def _strip_meta(t):
-        # blocks inherit parquet/pandas schema metadata that defeats the
-        # shuffle aggregator's schema-hash dedup (it logs "Failed to
-        # hash the schemas"); a metadata-only rewrite is zero-copy and
-        # gives every block the same clean schema
-        return t.replace_schema_metadata(None) if t.schema.metadata else t
-
-    ds = ds.map_batches(_strip_meta, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    return ds.repartition(num_blocks=num_blocks, keys=list(keys))
+    return ds.sort(list(keys))
 
 
 #: fan-in of one ``tree_fold`` level. Fixed: a level is one non-shuffle
@@ -107,6 +85,15 @@ _fetched: "OrderedDict[bytes, object]" = OrderedDict()
 _fetch_lock = threading.Lock()
 
 
+def sum_by(keys: list[str], col: str):
+    """``tree_fold`` combine for count partials: sum ``col`` per key."""
+
+    def combine(df):
+        return df.groupby(keys, as_index=False)[col].sum()
+
+    return combine
+
+
 def fetch(ref: "ray.ObjectRef"):
     """``ray.get(ref)``, cached per worker process.
 
@@ -116,7 +103,9 @@ def fetch(ref: "ray.ObjectRef"):
     is deserialized once per worker, not once per batch — the reuse an
     actor's ``__init__`` gave, without starting a process per call. Only
     the last ``FETCH_KEEP`` refs stay cached (keyed by object id, so the
-    cache never holds the ref itself alive).
+    cache never holds the ref itself alive). A value that is a list of
+    refs — a broadcast the driver streamed out as shards — resolves to
+    the list of the shards' values, so it costs one cache slot.
     """
     key = ref.binary()
     with _fetch_lock:
@@ -124,6 +113,9 @@ def fetch(ref: "ray.ObjectRef"):
             _fetched.move_to_end(key)
             return _fetched[key]
         value = ray.get(ref)
+        if isinstance(value, list) and value \
+                and isinstance(value[0], ray.ObjectRef):
+            value = ray.get(value)
         _fetched[key] = value
         while len(_fetched) > FETCH_KEEP:
             _fetched.popitem(last=False)

@@ -1,30 +1,34 @@
-"""Large-large join utilities: bucketed exact anti-join + Bloom filter.
+"""Joins of two fact-sized Datasets, plus a Bloom pre-filter.
 
 ``customers_without_orders`` (pipelines/relational.py) broadcasts the
 parent key set — right for a side that fits in memory. These are the
-100 TB paths the SURVEY/VERDICT call for when BOTH sides are fact-sized:
+paths for when BOTH sides are fact-sized:
 
-* :func:`bucketed_anti_join` — hash-partition both sides on the key with
-  one keyed exchange (each key wholly in one block), then a vectorized
-  ``np.isin`` per block. Exact at any size; shuffle volume = |left| +
-  |right key column|, no driver state.
+* :func:`keyed_join` — the one distributed join: both sides are tagged,
+  padded to one schema and unioned, one keyed exchange
+  (``repartition_by_key``) puts every row of a key in one block, and
+  one Arrow ``Table.join`` per block finishes the job. Tasks only; the
+  exchange moves |left| + |right| rows and nothing reaches the driver.
+* :func:`bucketed_anti_join` — ``keyed_join`` with ``"left anti"``.
 * :class:`BloomFilter` — a numpy bit-array Bloom built distributed
   (per-batch partial filters OR-combined) and broadcast via ``ray.put``.
   Used as a PRE-filter: definite non-members skip the exchange entirely;
   only possible members (≈ fp_rate of the left side) continue to the
-  exact bucketed verify. At 1e10 keys a single filter no longer fits —
-  shard it by key hash (one filter per bucket) with the same build.
+  exact anti-join. At 1e10 keys a single filter no longer fits — shard
+  it by key hash (one filter per bucket) with the same build.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from rfb_cnpj_etl_ray.hashing import hash_strings
+from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
 
 class BloomFilter:
@@ -90,59 +94,85 @@ def build_bloom(
     return out
 
 
+def keyed_join(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset",
+    left_key: str,
+    right_key: str,
+    how: str,
+) -> "ray.data.Dataset":
+    """``left`` joined to ``right`` on ``left_key == right_key``.
+
+    ``how`` is Arrow's ``"inner"``, ``"left outer"`` or ``"left anti"``.
+    The output holds the left columns, then the right columns except
+    ``right_key`` (equal to ``left_key`` on every match; an anti join
+    keeps the left columns only). Null keys match nothing, as in SQL.
+
+    Both sides must carry Arrow blocks (a parquet read, or a map that
+    returns ``pa.Table``) and are materialized on the call. Each side is
+    tagged (``__side``), its key copied into the shared exchange column
+    ``__key`` (cast to the left key's type) and padded with typed nulls
+    to one wide schema, where the right columns carry a ``__r.`` prefix
+    so names never collide. The union goes through one
+    ``repartition_by_key(["__key"])``; each block then splits back into
+    its two sides and runs one ``Table.join`` on ``__key``. An anti
+    join ships only the right key.
+    """
+    anti = how == "left anti"
+    if anti:
+        right = right.select_columns([right_key])
+    # both sides are materialized first. The exchange buffers every
+    # input block before it starts anyway, so this adds no peak; the
+    # schemas then come free, and an exchange upstream of a side (a
+    # chained join) never runs inside the union below — Ray runs an
+    # all-to-all's bulk step on its scheduling thread, so a branch still
+    # streaming beside it could hold the last CPU and stall the plan
+    left, right = left.materialize(), right.materialize()
+    lsch = left.schema().base_schema
+    rsch = right.schema().base_schema
+    key_type = lsch.field(left_key).type
+    rkeep = [] if anti else [n for n in rsch.names if n != right_key]
+    rcols = [f"__r.{n}" for n in rkeep]
+    wide = pa.schema(
+        [pa.field("__key", key_type), pa.field("__side", pa.int8())]
+        + list(lsch) + [pa.field(c, rsch.field(n).type)
+                        for c, n in zip(rcols, rkeep)])
+
+    def tagger(side: int, key: str, src: list[str], names: list[str]):
+        def tag(t: pa.Table) -> pa.Table:
+            own = dict(zip(names, t.select(src).columns))
+            own["__key"] = t.column(key).cast(key_type)
+            own["__side"] = pa.array(np.full(t.num_rows, side, np.int8))
+            return pa.table([own[f.name] if f.name in own
+                             else pa.nulls(t.num_rows, f.type)
+                             for f in wide], schema=wide)
+        return tag
+
+    def join_block(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            t = wide.empty_table()
+        side = t.column("__side")
+        lt = t.filter(pc.equal(side, 0)).select(["__key"] + lsch.names)
+        rt = t.filter(pc.equal(side, 1)).select(["__key"] + rcols)
+        out = lt.join(rt, keys="__key", join_type=how)
+        return out.drop_columns(["__key"]).rename_columns(lsch.names + rkeep)
+
+    both = left.map_batches(
+        tagger(0, left_key, lsch.names, lsch.names), batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).union(right.map_batches(
+        tagger(1, right_key, rkeep, rcols), batch_format="pyarrow",
+        zero_copy_batch=True))
+    return repartition_by_key(both, ["__key"]).map_batches(
+        join_block, batch_format="pyarrow", batch_size=None)
+
+
 def bucketed_anti_join(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
     left_key: str,
     right_key: str,
-    num_blocks: int | None = None,
 ) -> "ray.data.Dataset":
-    """left rows whose key has NO match in right — exact, no broadcast.
-
-    Both sides are tagged and unioned (right carries only its key), one
-    keyed hash exchange co-locates all rows of a key, then each block
-    filters vectorized. Scales as a single shuffle of |left| + |right
-    keys|; skew bounded by the hash (a hot KEY still lands in one block —
-    pre-dedup the right side's keys per batch to cap that, done here)."""
-    from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
-
-    left_schema = left.schema().base_schema
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        b = batch.append_column("__key", batch.column(left_key))
-        return b.append_column(
-            "__side", pa.array(np.zeros(b.num_rows, dtype=np.int8)))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-
-        keys = pc_.unique(batch.column(right_key))  # per-batch key dedup
-        cols = {"__key": keys}
-        for f in left_schema:  # null payload, left's schema
-            cols[f.name] = pa.nulls(len(keys), f.type)
-        t = pa.Table.from_pydict(cols)
-        return t.select(["__key"] + [f.name for f in left_schema]) \
-            .append_column("__side",
-                           pa.array(np.ones(t.num_rows, dtype=np.int8)))
-
-    def reorder_left(batch: pa.Table) -> pa.Table:
-        return batch.select(["__key"] + [f.name for f in left_schema]
-                            + ["__side"])
-
-    lt = left.map_batches(tag_left, batch_format="pyarrow",
-                          zero_copy_batch=True).map_batches(
-        reorder_left, batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag_right, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    both = lt.union(rt)
-
-    def anti(batch: pa.Table) -> pa.Table:
-        side = batch.column("__side").to_numpy()
-        keys = batch.column("__key").to_numpy(zero_copy_only=False)
-        right_keys = keys[side == 1]
-        keep = (side == 0) & ~np.isin(keys, right_keys)
-        return batch.filter(pa.array(keep)).drop_columns(["__key", "__side"])
-
-    return repartition_by_key(both, ["__key"], num_blocks).map_batches(
-        anti, batch_format="pyarrow", batch_size=None
-    )
+    """``left`` rows whose key has NO match in ``right`` — exact, no
+    broadcast: one :func:`keyed_join` with ``"left anti"``."""
+    return keyed_join(left, right, left_key, right_key, "left anti")

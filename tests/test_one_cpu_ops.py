@@ -1,11 +1,15 @@
-"""The corpus operators run on a one-CPU Ray cluster.
+"""The registry operators run on a one-CPU Ray cluster.
 
-No operator in ``functions.text`` starts an actor, so a single logical
-CPU is enough: the map tasks, the sort shuffle of ``top_tokens`` and the
-``tree_fold`` levels all take turns on it. An operator that pinned a CPU
-with a long-lived actor (an actor pool, a hash-shuffle aggregator) would
-starve its own upstream tasks here and never finish. Runs in a fresh
-interpreter because the test session's cluster has four CPUs.
+No operator starts an actor: map work runs as plain tasks, keyed
+exchanges are Ray's task sort, joins are ``keyed_join`` and
+low-cardinality folds are ``tree_fold``. A single logical CPU is
+therefore enough — the tasks take turns on it. An operator that pinned
+a CPU with a long-lived actor (an actor pool, a hash-shuffle
+aggregator) would starve its own upstream tasks here and never finish.
+
+The op list is every ``__ray_entry__.queries()`` entry; each op is
+checked against its ``oracle_sql()`` twin. All of them run in one
+fresh interpreter, because the test session's cluster has four CPUs.
 """
 
 import os
@@ -13,14 +17,12 @@ import subprocess
 import sys
 import textwrap
 
+import __ray_entry__ as E
 from tests.conftest import SF_DIR
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-OPS = (("top_tokens", "TOP_TOKENS_SQL"),
-       ("certified_topk_tokens", "CERTIFIED_TOPK_TOKENS_SQL"),
-       ("token_rarity_scores", "TOKEN_RARITY_SCORES_SQL"),
-       ("bloom_decontaminate", "BLOOM_DECONTAMINATE_SQL"))
+OPS = list(E.queries())
 
 SCRIPT = textwrap.dedent("""
     import sys
@@ -29,28 +31,32 @@ SCRIPT = textwrap.dedent("""
     import ray
     import ray.data
 
-    from rfb_cnpj_etl_ray.functions import text as T
+    import __ray_entry__ as E
     from tests.util_compare import assert_query_matches
 
     ray.init(address="local", num_cpus=1, include_dashboard=False,
              logging_level="ERROR")
     ray.data.DataContext.get_current().enable_progress_bars = False
     sf_dir = sys.argv[1]
-    for name, sql in {ops!r}:
+    queries, oracles = E.queries(), E.oracle_sql()
+    # the flagship oracle is sized for the driver's sf; re-derive it
+    oracles["cdc_ingest_final_state"] = E.cdc_final_state_sql(sf_dir)
+    for name in sys.argv[2:]:
         t0 = time.perf_counter()
-        assert_query_matches(getattr(T, name), getattr(T, sql), sf_dir)
-        print(f"ok {{name}} {{time.perf_counter() - t0:.2f}}s", flush=True)
+        assert_query_matches(queries[name], oracles[name], sf_dir)
+        print(f"ok {name} {time.perf_counter() - t0:.2f}s", flush=True)
     ray.shutdown()
 """)
 
 
-def test_corpus_ops_finish_on_one_cpu():
+def test_registry_ops_finish_on_one_cpu():
+    assert set(OPS) <= set(E.oracle_sql())
     env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep
                + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(ops=OPS), SF_DIR],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        [sys.executable, "-c", SCRIPT, SF_DIR, *OPS],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
     done = [line.split()[1] for line in proc.stdout.splitlines()
             if line.startswith("ok ")]
-    assert proc.returncode == 0 and done == [n for n, _ in OPS], (
+    assert proc.returncode == 0 and done == OPS, (
         f"finished {done}; stderr tail:\n{proc.stderr[-3000:]}")

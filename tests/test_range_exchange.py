@@ -97,3 +97,44 @@ def test_minhash_pair_dedup_exact_under_boundary_skew(ray_session):
         [t.column("pair").to_numpy() for t in tables]))
     assert np.array_equal(np.sort(got), want)
     assert len(got) == len(np.unique(got)), "per-block dedup emitted dupes"
+
+
+def _key_blocks(ds, keys):
+    """[(block tag, key tuple), ...] for every distinct key of each
+    output block (``batch_size=None``: one call per block)."""
+
+    def tag(t: pa.Table) -> pa.Table:
+        u = t.select(keys).group_by(keys).aggregate([])
+        return u.append_column(
+            "tag", pa.array([uuid.uuid4().hex] * u.num_rows, pa.string()))
+
+    return ds.map_batches(tag, batch_format="pyarrow",
+                          batch_size=None).to_pandas()
+
+
+@pytest.mark.parametrize("keys", [["name"], ["name", "n"]], ids=str)
+def test_repartition_by_key_colocates_heavy_keys(ray_session, keys):
+    """``repartition_by_key`` with a string key and a two-column key:
+    five heavy keys sit in each of 12 input blocks beside a unique
+    tail, so every sampled boundary hits a duplicated key; each key
+    must still land in exactly one output block, every row kept."""
+    from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
+
+    heavy = [f"hot-{i}" for i in range(5)]
+    tables = []
+    for b in range(12):
+        names = heavy * 150 + [f"cold-{b}-{i}" for i in range(40)]
+        tables.append(pa.table({
+            "name": pa.array(names, pa.string()),
+            "n": pa.array([len(s) % 2 for s in names], pa.int64()),
+        }))
+    ds = ray.data.from_arrow(tables)
+    assert ds.num_blocks() == 12
+    out = repartition_by_key(ds, keys)
+    assert out.count() == sum(t.num_rows for t in tables)
+    tagged = _key_blocks(out, keys)
+    per_key = tagged.groupby(keys)["tag"].nunique()
+    assert (per_key == 1).all(), per_key[per_key > 1]
+    want = pa.concat_tables(tables).select(keys).group_by(keys) \
+        .aggregate([]).num_rows
+    assert len(per_key) == want

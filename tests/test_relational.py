@@ -110,3 +110,29 @@ def test_incremental_view_resumes_from_checkpoint(ray_session, tmp_path, monkeyp
         lambda sf: R.incremental_hourly_activity(sf, resume=True),
         R.INCREMENTAL_HOURLY_ACTIVITY_SQL, SF_DIR)
     assert not (scratch / "arrivals").exists()  # warm call stayed O(view)
+
+
+def test_view_checkpoint_write_is_idempotent(ray_session, tmp_path):
+    """A retried or re-executed checkpoint task writes its block again:
+    the part must be replaced, not added, so the resume read returns
+    every (user_id, hour) row once and counts are not doubled."""
+    import pandas as pd
+    import pyarrow as pa
+
+    block = pa.table({
+        "user_id": pa.array([7, 3, 3], pa.int64()),
+        "hour": pa.array([5_000_000, 9_000_000, 2_000_000],
+                         pa.timestamp("ns")),
+        "n_events": pa.array([1, 2, 3], pa.int64()),
+        "sum_cents": pa.array([10, 20, 30], pa.int64()),
+    })
+    write = R._ckpt_writer(str(tmp_path))
+    first = write(block)
+    write(block)  # the retry
+    got = R._read_ckpt(tmp_path).to_pandas()
+    want = first.to_pandas()
+    key = ["user_id", "hour"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(key, ignore_index=True),
+        want.sort_values(key, ignore_index=True), check_dtype=False)
+    assert [p.name for p in tmp_path.iterdir()] == ["part-3-2000.parquet"]

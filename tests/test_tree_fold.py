@@ -107,3 +107,20 @@ def test_fetch_gets_once_and_keeps_only_the_last_few(ray_session):
     assert X.fetch(refs[0]) is not first       # re-fetched after eviction
     np.testing.assert_array_equal(X.fetch(refs[0]), first)
     X._fetched.clear()
+
+
+def test_fetch_resolves_a_sharded_broadcast_in_one_slot(ray_session):
+    """A broadcast put as one list of shard refs (``knn_graph``'s
+    corpus) resolves to the shard values and takes ONE cache slot, so
+    a 128-shard corpus cannot evict itself from a ``FETCH_KEEP`` cache."""
+    import ray
+
+    X._fetched.clear()
+    shards = [ray.put(np.arange(3) + 10 * i) for i in range(X.FETCH_KEEP + 2)]
+    ref = ray.put(shards)
+    got = X.fetch(ref)
+    assert len(got) == len(shards)
+    for i, v in enumerate(got):
+        np.testing.assert_array_equal(v, np.arange(3) + 10 * i)
+    assert X.fetch(ref) is got and len(X._fetched) == 1
+    X._fetched.clear()
