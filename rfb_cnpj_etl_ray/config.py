@@ -10,7 +10,7 @@ thread counts, and explicit skew (salting) knobs instead of the static
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -60,13 +60,6 @@ class EngineConfig:
     #: bar). One fire-and-forget counter call per staged batch; off by
     #: default to keep benches clean.
     progress: bool = False
-
-    # --- failure injection (tests only) -----------------------------------
-    #: when True, ``ingest`` stages all partition files but raises before the
-    #: commit-log append — simulates a crash between staging and commit
-    #: (reference analog: interrupted download leaving ``.part`` files,
-    #: cnpj_downloader.py:84-96).
-    fail_before_commit: bool = field(default=False, repr=False)
 
     def validate(self) -> None:
         if self.write_mode not in ("cow", "delta"):

@@ -523,13 +523,13 @@ def minhash_dedup_groups(sf_dir: str, rounds: int = 8):
                 "label": pa.array([], pa.int64())}))
             converged = True
             break
-        ds = ray.data.read_parquet(
+        ds = _read_table(
             spill_files, override_num_blocks=sized_blocks(spill_files))
         if check:
             # fixed-point check over a COLUMN-PRUNED read of the spill
             # (two int64 columns, not the band-key strings); one summed
             # count, not data, reaches the driver
-            changed = ray.data.read_parquet(
+            changed = _read_table(
                 spill_files, columns=["label", "label_prev"],
                 override_num_blocks=sized_blocks(spill_files),
             ).map_batches(
@@ -1020,8 +1020,7 @@ def dedup_corpus(sf_dir: str, rounds: int = 8):
     from rfb_cnpj_etl_ray.sources.parquet import sized_blocks as _sb
 
     lab_files = sorted(str(q) for q in lab_path.glob("*.parquet"))
-    labels = ray.data.read_parquet(
-        lab_files, override_num_blocks=_sb(lab_files))
+    labels = _read_table(lab_files, override_num_blocks=_sb(lab_files))
 
     def group_stats(df: pd.DataFrame) -> pa.Table:
         g = df.groupby("group_id", as_index=False).agg(

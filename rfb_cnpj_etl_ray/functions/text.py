@@ -1477,16 +1477,18 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
         return pd.DataFrame({"l": lr[:, 0], "r": lr[:, 2],
                              "n": cnt.astype(np.int64)})
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"bigram": pd.Series([], dtype="object"),
-                              "pmi_ppm": pd.Series([], dtype="int64"),
-                              "n": pd.Series([], dtype="int64")})
+    out_schema = pa.schema([("bigram", pa.string()),
+                            ("pmi_ppm", pa.int64()), ("n", pa.int64())])
+
+    def fold(df: pd.DataFrame) -> pa.Table:
+        # Arrow out, so a block with no bigram above min_count is a typed
+        # empty block rather than an object-dtype frame
         if df.empty:
-            return empty
+            return out_schema.empty_table()
         g = df.groupby(["l", "r"], as_index=False)["n"].sum()
         g = g[g["n"] >= min_count]
         if g.empty:
-            return empty
+            return out_schema.empty_table()
         # exact big-int PMI on the folded, thresholded table only:
         # 10^6·T·c(ab) can pass 2^63 at web scale, so Python ints
         # here and HUGEINT in the oracle; the final column is BIGINT
@@ -1502,9 +1504,11 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
             "pmi_ppm": pmi.astype("int64"),
             "n": g["n"].astype("int64"),
         })
-        return (out.sort_values(["pmi_ppm", "bigram"],
-                                ascending=[False, True], kind="stable")
-                .head(k))
+        top = out.sort_values(["pmi_ppm", "bigram"],
+                              ascending=[False, True], kind="stable").head(k)
+        return pa.Table.from_pandas(top, schema=out_schema,
+                                    preserve_index=False
+                                    ).replace_schema_metadata(None)
 
     ds = _read_docs(sf_dir, ["text"]).map_batches(
         partial, batch_format="pandas")

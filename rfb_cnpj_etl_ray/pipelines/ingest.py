@@ -47,7 +47,11 @@ from rfb_cnpj_etl_ray.stages.merge import (
     staged_exchange,
     strip_internal,
 )
-from rfb_cnpj_etl_ray.state.commitlog import CommitLog, partition_files
+from rfb_cnpj_etl_ray.state.commitlog import (
+    CommitLog,
+    Snapshot,
+    next_partitions,
+)
 from rfb_cnpj_etl_ray.state.manifest import (
     manifest_from_dir,
     read_manifest,
@@ -68,20 +72,21 @@ def ingest(
     crash (including between staging and commit) completes the epoch with
     the same final state the oracle produces.
     """
+    t0 = time.perf_counter()
+    log = CommitLog(Path(lake_dir) / table)
+    return _ingest(log, log.snapshot(), log_dir, cfg, t0)
+
+
+def _ingest(log: CommitLog, last: Snapshot, log_dir: str | Path,
+            cfg: EngineConfig | None, t0: float) -> dict:
+    """``ingest`` on top of ``last``, the caller's snapshot of ``log``."""
     cfg = cfg or EngineConfig()
     cfg.validate()
-    t0 = time.perf_counter()
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    last = log.latest()
-    if last is None:
-        raise RuntimeError(f"lake table {table_dir} not initialized (run init_lake first)")
-    num_partitions = last["num_partitions"]
-    committed_segments = set(last.get("segments", []))
-    current_schema = schema_from_jsonable(last["schema"])
-
-    validate_segments(log_dir, strict=True)
+    committed_segments = set(last.segments)
+    # read once: the manifest validated is the manifest applied, even
+    # while a producer replaces manifest.json (tail's protocol)
     manifest = read_manifest(log_dir)
+    validate_segments(log_dir, strict=True, manifest=manifest)
 
     def seg_id(s: dict) -> str:
         # segment identity = name + lsn range + rows: same-named files
@@ -94,14 +99,14 @@ def ingest(
                 if seg_id(s) not in committed_segments]
     if not new_segs:
         return {
-            "epoch": last["epoch"], "segments": [], "events_read": 0,
+            "epoch": last.epoch, "segments": [], "events_read": 0,
             "noop": True, "seconds": time.perf_counter() - t0,
         }
     paths = [str(Path(log_dir) / s["name"]) for s in new_segs]
     events_read = sum(s["rows"] for s in new_segs)
 
     # --- schema evolution at the read boundary ---------------------------
-    payload_schema = current_schema
+    payload_schema = last.schema
     for p in paths:
         seg_schema = pq.read_schema(p)
         seg_payload = pa.schema(
@@ -113,59 +118,40 @@ def ingest(
         + list(payload_schema)
     )
 
-    epoch = last["epoch"] + 1
+    epoch = last.epoch + 1
     reporter = None
     if cfg.progress:
         from rfb_cnpj_etl_ray.progress import ProgressReporter
 
-        reporter = ProgressReporter(total=events_read,
-                                    label=f"{table} epoch {epoch}")
+        reporter = ProgressReporter(
+            total=events_read, label=f"{log.table_dir.name} epoch {epoch}")
     try:
         ds = ray.data.read_parquet(paths, schema=change_schema)
         with staged_exchange(
-            ds, table_dir, epoch, payload_schema, num_partitions, cfg,
-            write_mode=cfg.write_mode,
-            current_files={int(k): partition_files(v)
-                           for k, v in last["partitions"].items()},
-            min_lsn_exclusive=last.get("compaction_watermark"),
+            ds, log.table_dir, epoch, payload_schema, last.num_partitions,
+            cfg, write_mode=cfg.write_mode, part_files=last.files,
+            min_lsn_exclusive=last.watermark,
             progress_counter=(reporter.counter if reporter else None),
             t0=t0,
         ) as exchange:
             t_staged = time.perf_counter()
-            if cfg.fail_before_commit:
-                raise RuntimeError(
-                    "injected failure before commit (cfg.fail_before_commit)")
             staged = exchange.rows
-            partitions = _next_partitions(last["partitions"], staged,
-                                          cfg.write_mode)
-            record = {
-                "epoch": epoch,
-                "table": table,
-                "num_partitions": num_partitions,
-                "schema": schema_to_jsonable(payload_schema),
-                "partitions": partitions,
-                "segments": sorted(committed_segments
-                                   | {seg_id(s) for s in new_segs}),
-                "parent": last["epoch"],
-                **(
-                    {"compaction_watermark": last["compaction_watermark"]}
-                    if last.get("compaction_watermark") is not None else {}
+            partitions = next_partitions(last.partitions, staged,
+                                         cfg.write_mode)
+            log.commit_next(last, partitions, {
+                "events_read": events_read,
+                "segments_this_epoch": [s["name"] for s in new_segs],
+                "partitions_touched": len(staged),
+                "events_dropped_late": exchange.dropped_late,
+                "rows_total": sum(
+                    int(p["live_rows"] if p.get("live_rows") is not None
+                        else p["rows"])
+                    for p in partitions.values()
                 ),
-                "metrics": {
-                    "events_read": events_read,
-                    "segments_this_epoch": [s["name"] for s in new_segs],
-                    "partitions_touched": len(staged),
-                    "events_dropped_late": exchange.dropped_late,
-                    "rows_total": sum(
-                        int(p["live_rows"] if p.get("live_rows") is not None
-                            else p["rows"])
-                        for p in partitions.values()
-                    ),
-                    "stage_seconds": round(t_staged - t0, 3),
-                    "phase_seconds": exchange.phase_seconds,
-                },
-            }
-            log.append(record)
+                "stage_seconds": round(t_staged - t0, 3),
+                "phase_seconds": exchange.phase_seconds,
+            }, schema=payload_schema, segments=sorted(
+                committed_segments | {seg_id(s) for s in new_segs}))
     finally:
         # a failed epoch must not leak the progress render thread /
         # counter actor (they would print forever in a tail loop)
@@ -181,67 +167,6 @@ def ingest(
         "seconds": time.perf_counter() - t0,
         "phase_seconds": exchange.phase_seconds,
     }
-
-
-def _next_partitions(prev_partitions: dict, staged: list[dict],
-                     write_mode: str) -> dict:
-    """The next commit's partition map: ``prev_partitions`` with each
-    phase-2 manifest row in ``staged`` applied."""
-    partitions = dict(prev_partitions)
-    for row in staged:
-        prev = partitions.get(str(row["part"]), {})
-        # checkpoint never regresses: a LATE lower-LSN segment applied in
-        # a later epoch must not pull lsn_high below rows already
-        # materialized at higher LSNs (merge_into / compact / lake_changes
-        # all key off this watermark)
-        lsn_high = max(
-            (x for x in (prev.get("lsn_high"), row["lsn_high"])
-             if x is not None),
-            default=None)
-        if write_mode == "delta":
-            # merge-on-read: keep the base snapshot, append the delta;
-            # physical rows accumulate, logical live count is unknown
-            # until the next fold (compact / cow epoch / read). Every
-            # committed file carries its bounds (None only when it has
-            # no rows), so the merged zone map is their union.
-            mins = [m for m in (prev.get("doc_id_min"), row["doc_id_min"])
-                    if m is not None]
-            maxs = [m for m in (prev.get("doc_id_max"), row["doc_id_max"])
-                    if m is not None]
-            # first write into a hole (partition with no committed file —
-            # possible after init_lake_distributed on an untouched
-            # partition): the delta IS the partition's complete LWW state,
-            # so promote it to the base snapshot instead of recording a
-            # null base that readers would crash on.
-            base_file = prev.get("file")
-            new_deltas = list(prev.get("deltas", []))
-            if base_file is None and not new_deltas:
-                base_file = row["file"]
-            else:
-                new_deltas.append(row["file"])
-            partitions[str(row["part"])] = {
-                "file": base_file,
-                "deltas": new_deltas,
-                "rows": int(prev.get("rows", 0)) + row["rows"],
-                "live_rows": None,
-                "bytes": int(prev.get("bytes", 0)) + row["bytes"],
-                "lsn_high": lsn_high,
-                "events_applied": row["events_applied"],
-                "doc_id_min": min(mins) if mins else None,
-                "doc_id_max": max(maxs) if maxs else None,
-            }
-        else:
-            partitions[str(row["part"])] = {
-                "file": row["file"],
-                "rows": row["rows"],
-                "live_rows": row["live_rows"],
-                "bytes": row["bytes"],
-                "lsn_high": lsn_high,
-                "events_applied": row["events_applied"],
-                "doc_id_min": row["doc_id_min"],
-                "doc_id_max": row["doc_id_max"],
-            }
-    return partitions
 
 
 def tail(
@@ -322,18 +247,20 @@ def read_lake(
     needs the merge-on-read fold, so partitions are loaded by
     per-partition tasks instead (the fold needs doc_id+_lsn regardless;
     projection happens after)."""
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    if as_of is not None and log.commit_at(as_of) is None:
-        raise RuntimeError(
-            f"epoch {as_of} was never committed in {table_dir} "
-            f"(latest epoch: {log.latest_epoch()})")
-    payload_schema = log.committed_schema(as_of)
-    int_sch = internal_schema(payload_schema)
+    snap = CommitLog(Path(lake_dir) / table).snapshot(as_of)
     if as_of is not None:
-        _require_epoch_files(table_dir, log, as_of)
-    if not log.has_deltas(as_of):
-        files = [str(p) for p in log.current_files(as_of).values()]
+        snap.require_files()
+    return read_snapshot(snap, include_tombstones, columns)
+
+
+def read_snapshot(snap: Snapshot, include_tombstones: bool = False,
+                  columns: list[str] | None = None) -> "ray.data.Dataset":
+    """``read_lake`` of a snapshot the caller already holds, so an
+    operation reads the very state it planned from."""
+    int_sch = internal_schema(snap.schema)
+    if not snap.deltas_pending:
+        # no deltas: each partition is its one base snapshot
+        files = [str(snap.table_dir / rels[0]) for rels in snap.files.values()]
         read_cols = None
         if columns is not None and not include_tombstones:
             need = set(columns) | {INTERNAL_DELETED}
@@ -354,11 +281,8 @@ def read_lake(
         if read_cols is not None:
             ds = ds.select_columns(read_cols)
     else:
-        from rfb_cnpj_etl_ray.spec import schema_to_jsonable
-
-        file_lists = log.partition_file_lists(as_of)
-        sch_json = schema_to_jsonable(payload_schema)
-        tdir = str(table_dir)
+        sch_json = schema_to_jsonable(snap.schema)
+        tdir = str(snap.table_dir)
 
         def fold(batch: pa.Table) -> pa.Table:
             from rfb_cnpj_etl_ray.spec import schema_from_jsonable
@@ -371,7 +295,7 @@ def read_lake(
             ]
             return pa.concat_tables(out) if out else isch.empty_table()
 
-        items = [{"part": p, "rels": rels} for p, rels in file_lists.items()]
+        items = [{"part": p, "rels": rels} for p, rels in snap.files.items()]
         ds = ray.data.from_items(
             items, override_num_blocks=max(1, len(items))
         ).map_batches(fold, batch_format="pyarrow", batch_size=1)
@@ -387,19 +311,6 @@ def read_lake(
         # column); project here so BOTH paths honor the caller's columns
         ds = ds.select_columns(columns)
     return ds
-
-
-def _require_epoch_files(table_dir: Path, log: "CommitLog", epoch: int) -> None:
-    """Fail fast (naming the pruned file) when a time-travel epoch's data
-    files were garbage-collected. Driver-side stat per partition — cheap
-    metadata, no data read."""
-    for rels in log.partition_file_lists(epoch).values():
-        for rel in rels:
-            if not (table_dir / rel).exists():
-                raise RuntimeError(
-                    f"epoch {epoch} is outside the GC retention window: "
-                    f"{table_dir / rel} was pruned (gc_snapshots "
-                    f"keep_commits). Latest epoch: {log.latest_epoch()}")
 
 
 def lake_changes(
@@ -435,57 +346,52 @@ def lake_changes(
     Reference analog: the patch phase's post-hoc reconciliation
     (db_patch.py:60-87) recomputes state destructively; the commit log's
     immutable epochs let the engine DERIVE the difference instead."""
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    to_epoch = log.latest_epoch() if to_epoch is None else to_epoch
-    for ep in (from_epoch, to_epoch):
-        if log.commit_at(ep) is None:
-            raise RuntimeError(
-                f"epoch {ep} was never committed in {table_dir} "
-                f"(latest epoch: {log.latest_epoch()})")
-    if from_epoch > to_epoch:
-        raise ValueError(f"from_epoch {from_epoch} > to_epoch {to_epoch}")
-    old_np = log.commit_at(from_epoch)["num_partitions"]
-    new_np = log.commit_at(to_epoch)["num_partitions"]
-    if old_np != new_np:
+    log = CommitLog(Path(lake_dir) / table)
+    new = log.snapshot(to_epoch)
+    old = new if from_epoch == new.epoch else log.snapshot(from_epoch)
+    return _changes(old, new, with_lsn)
+
+
+def _changes(old: Snapshot, new: Snapshot,
+             with_lsn: bool = False) -> "ray.data.Dataset":
+    """``lake_changes`` between two snapshots of one table."""
+    if old.epoch > new.epoch:
+        raise ValueError(f"from_epoch {old.epoch} > to_epoch {new.epoch}")
+    if old.num_partitions != new.num_partitions:
         # partition-id diffs are meaningless across a repartition_lake:
         # every moved key would surface as a spurious delete+insert pair
         # (and the delete would WIN LWW downstream) — fail loudly;
         # replicate across a repartition with a fresh snapshot bootstrap
         raise ValueError(
             f"change feed across a repartition boundary "
-            f"({old_np} -> {new_np} partitions between epochs "
-            f"{from_epoch} and {to_epoch}) is not supported")
-    payload_schema = log.committed_schema(to_epoch)
-    int_sch = internal_schema(payload_schema)
+            f"({old.num_partitions} -> {new.num_partitions} partitions "
+            f"between epochs {old.epoch} and {new.epoch}) is not supported")
+    payload_schema = new.schema
     out_fields = list(payload_schema) + [pa.field("change_type", pa.string())]
     if with_lsn:
         out_fields.append(pa.field("_change_lsn", pa.int64()))
     out_schema = pa.schema(out_fields)
-    old_lists = log.partition_file_lists(from_epoch)
-    new_lists = log.partition_file_lists(to_epoch)
-    for ep in (from_epoch, to_epoch):
-        _require_epoch_files(table_dir, log, ep)
+    old.require_files()
+    new.require_files()
     touched = [
-        p for p in set(old_lists) | set(new_lists)
-        if old_lists.get(p) != new_lists.get(p)
+        p for p in set(old.files) | set(new.files)
+        if old.files.get(p) != new.files.get(p)
     ]
     if not touched:
         return ray.data.from_arrow(out_schema.empty_table())
-    to_commit = log.commit_at(to_epoch)  # validated non-None above
     # fallback LSN for deletes whose tombstone was GC'd by compact: such
     # a tombstone had lsn <= the recorded compaction watermark, and every
     # LATER admitted event has lsn > watermark — so the watermark is the
     # tightest safe bound. lsn_high would overshoot: a late segment
     # between watermark and lsn_high could legitimately resurrect the
     # key, and a feed-shipped delete at lsn_high would wrongly win.
-    wm = to_commit.get("compaction_watermark")
     lsn_highs = {
-        int(k): (wm if wm is not None else v.get("lsn_high"))
-        for k, v in to_commit["partitions"].items()
+        int(k): (new.watermark if new.watermark is not None
+                 else v.get("lsn_high"))
+        for k, v in new.partitions.items()
     }
     sch_json = schema_to_jsonable(payload_schema)
-    tdir = str(table_dir)
+    tdir = str(new.table_dir)
 
     def diff(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -535,7 +441,7 @@ def lake_changes(
                 else out_schema.empty_table())
 
     items = [
-        {"part": p, "old": old_lists.get(p, []), "new": new_lists.get(p, []),
+        {"part": p, "old": old.files.get(p, []), "new": new.files.get(p, []),
          "lsn_high": lsn_highs.get(p)}
         for p in sorted(touched)
     ]
@@ -578,23 +484,21 @@ def replicate(
         init_lake,
         load_spec,
     )
-    from rfb_cnpj_etl_ray.state.manifest import manifest_from_dir
-    from rfb_cnpj_etl_ray.stages.merge import INTERNAL_LSN
 
-    src_dir = Path(src_lake) / table
-    src_log = CommitLog(src_dir)
-    src_epoch = src_log.latest_epoch()
-    if src_epoch < 0:
-        raise RuntimeError(f"source lake table {src_dir} not initialized")
+    t0 = time.perf_counter()
+    src_log = CommitLog(Path(src_lake) / table)
+    src = src_log.snapshot()
+    src_epoch = src.epoch
 
     dst_dir = Path(dst_lake) / table
     dst_log = CommitLog(dst_dir)
     spec = load_spec(src_lake, table)
-    if dst_log.latest() is None:
+    head = dst_log.latest()
+    if head is None:
         init_lake(dst_lake, spec, base=None,
-                  num_partitions=num_partitions
-                  or src_log.latest()["num_partitions"])
-        dst_log = CommitLog(dst_dir)
+                  num_partitions=num_partitions or src.num_partitions)
+        head = dst_log.latest()
+    dst = Snapshot.of(dst_dir, head)
 
     state_path = dst_dir / "_replication.json"
     applied = (_json.loads(state_path.read_text())["src_epoch"]
@@ -611,7 +515,7 @@ def replicate(
     payload_names = [f.name for f in spec.schema]
     if applied is None:
         # snapshot bootstrap: live state as upserts at original LSNs
-        snap = read_lake(src_lake, table=table, include_tombstones=True)
+        state = read_snapshot(src, include_tombstones=True)
 
         def to_log(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc_
@@ -628,11 +532,10 @@ def replicate(
             return pa.table(cols)
 
         mode = "snapshot"
-        feed = snap.map_batches(to_log, batch_format="pyarrow",
+        feed = state.map_batches(to_log, batch_format="pyarrow",
                                 zero_copy_batch=True)
     else:
-        changes = lake_changes(src_lake, applied, src_epoch, table=table,
-                               with_lsn=True)
+        changes = _changes(src_log.snapshot(applied), src, with_lsn=True)
 
         def to_log(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc_
@@ -650,7 +553,7 @@ def replicate(
 
     feed.write_parquet(str(ship_dir))
     manifest_from_dir(ship_dir)
-    report = ingest(dst_lake, ship_dir, table=table, cfg=cfg)
+    report = _ingest(dst_log, dst, ship_dir, cfg, t0)
     atomic_write_bytes(state_path,
                        _json.dumps({"src_epoch": src_epoch}).encode())
     shutil.rmtree(ship_dir, ignore_errors=True)
@@ -664,19 +567,13 @@ def read_lake_table(lake_dir: str | Path, table: str = "sequences",
     """Driver-side full read — tests/small tables only."""
     from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
+    snap = CommitLog(Path(lake_dir) / table).snapshot(as_of)
     if as_of is not None:
-        if log.commit_at(as_of) is None:
-            raise RuntimeError(
-                f"epoch {as_of} was never committed in {table_dir} "
-                f"(latest epoch: {log.latest_epoch()})")
-        _require_epoch_files(table_dir, log, as_of)
-    payload = log.committed_schema(as_of)
-    int_sch = internal_schema(payload)
+        snap.require_files()
+    int_sch = internal_schema(snap.schema)
     tables = [
-        load_partition_state(str(table_dir), rels, int_sch)
-        for rels in log.partition_file_lists(as_of).values()
+        load_partition_state(str(snap.table_dir), rels, int_sch)
+        for rels in snap.files.values()
     ]
     merged = pa.concat_tables(tables) if tables else int_sch.empty_table()
     return strip_internal(merged).sort_by([("doc_id", "ascending")])
@@ -695,17 +592,12 @@ def lookup(
     from rfb_cnpj_etl_ray.hashing import partition_ids
     from rfb_cnpj_etl_ray.stages.merge import load_partition_state
 
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    commit = log.latest()
-    if commit is None:
-        raise RuntimeError(f"lake table {table_dir} not initialized")
-    payload = log.committed_schema()
-    int_sch = internal_schema(payload)
-    parts = partition_ids(doc_ids, commit["num_partitions"])
+    snap = CommitLog(Path(lake_dir) / table).snapshot()
+    int_sch = internal_schema(snap.schema)
+    parts = partition_ids(doc_ids, snap.num_partitions)
     wanted: dict[int, list[str]] = {}
     for d, p in zip(doc_ids, parts):
-        entry = commit["partitions"].get(str(int(p)))
+        entry = snap.partitions.get(str(int(p)))
         if entry is None:
             continue
         lo, hi = entry.get("doc_id_min"), entry.get("doc_id_max")
@@ -714,15 +606,15 @@ def lookup(
         wanted.setdefault(int(p), []).append(d)
     hits = []
     for p, keys in wanted.items():
-        rels = partition_files(commit["partitions"][str(p)])
-        state = load_partition_state(str(table_dir), rels, int_sch)
+        state = load_partition_state(str(snap.table_dir),
+                                     snap.files.get(p, []), int_sch)
         import pyarrow.compute as pc_
 
         sel = state.filter(pc_.is_in(state.column("doc_id"),
                                      value_set=pa.array(keys)))
         hits.append(strip_internal(sel))
     if not hits:
-        return payload.empty_table()
+        return snap.schema.empty_table()
     return pa.concat_tables(hits).sort_by([("doc_id", "ascending")])
 
 
@@ -762,29 +654,12 @@ def init_lake_from_dataset(
 
     with staged_exchange(ds, table_dir, 0, spec.schema, cfg.num_partitions,
                          cfg, prep="base") as exchange:
-        staged = exchange.rows
         # partitions with no base rows get no entry; they get files
         # lazily on first touch.
-        record = {
-            "epoch": 0,
-            "table": spec.name,
-            "num_partitions": cfg.num_partitions,
-            "schema": schema_to_jsonable(spec.schema),
-            "partitions": {
-                str(r["part"]): {
-                    "file": r["file"], "rows": r["rows"],
-                    "live_rows": r["live_rows"], "bytes": r["bytes"],
-                    "lsn_high": None, "events_applied": 0,
-                    "doc_id_min": r["doc_id_min"],
-                    "doc_id_max": r["doc_id_max"],
-                }
-                for r in staged
-            },
-            "segments": [],
-            "parent": None,
-            "metrics": {"rows_total": sum(r["rows"] for r in staged)},
-        }
-        log.append(record)
+        record = log.commit_next(
+            None, next_partitions(None, exchange.rows, "fold"),
+            {"rows_total": sum(r["rows"] for r in exchange.rows)},
+            num_partitions=cfg.num_partitions, schema=spec.schema)
     return record
 
 
@@ -821,24 +696,16 @@ def merge_into(
     import shutil as _shutil
     import tempfile
 
-    cfg = cfg or EngineConfig()
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    last = log.latest()
-    if last is None:
-        raise RuntimeError(
-            f"lake table {table_dir} not initialized (run init_lake first)")
-    ckpts = log.checkpoint_lsns()
+    log = CommitLog(Path(lake_dir) / table)
+    last = log.snapshot()
     # past BOTH the committed checkpoints and the compaction watermark:
     # events at lsn <= watermark are dropped as late by ingest, so a
     # watermark above lsn_high would silently no-op the whole merge
-    wm = last.get("compaction_watermark") or 0
-    lsn0 = max(max(ckpts.values(), default=0), wm) + 1
+    lsn0 = max(last.lsn_high or 0, last.watermark or 0) + 1
 
     if isinstance(source, pa.Table):
         source = ray.data.from_arrow(source)
-    payload_schema = schema_from_jsonable(last["schema"])
-    payload_names = [f.name for f in payload_schema]
+    payload_schema = last.schema
 
     scratch = Path(scratch_dir) if scratch_dir is not None else Path(
         tempfile.mkdtemp(prefix=f"merge_into_{table}_"))
@@ -924,7 +791,7 @@ def merge_into(
     if delete_missing:
         from rfb_cnpj_etl_ray.stages.joins import bucketed_anti_join
 
-        lake_keys = read_lake(lake_dir, table, columns=["doc_id"])
+        lake_keys = read_snapshot(last, columns=["doc_id"])
         gone = bucketed_anti_join(lake_keys, _scratch_keys(),
                                   "doc_id", "doc_id")
 
@@ -946,7 +813,7 @@ def merge_into(
 
     manifest_from_dir(scratch)
     try:
-        report = ingest(lake_dir, scratch, table=table, cfg=cfg)
+        report = _ingest(log, last, scratch, cfg, time.perf_counter())
     finally:
         if scratch_dir is None:
             _shutil.rmtree(scratch, ignore_errors=True)
@@ -967,10 +834,9 @@ def lake_token_stats(
     packing (sequence-length curriculum, padding budgets).
 
     Streams: column-pruned ``read_lake(columns=["n_tok"])``, per-batch
-    vectorized bucket counts, per-block fold; only the histogram
-    (≤ max_len/bucket rows per block) ever reaches the driver."""
-    import numpy as np
-    import pandas as pd
+    vectorized bucket counts, then ``tree_fold``; only the folded
+    histogram (≤ max_len/bucket rows) reaches the driver."""
+    from rfb_cnpj_etl_ray.stages.exchange import sum_by, tree_fold
 
     ds = read_lake(lake_dir, table, columns=["n_tok"], as_of=as_of)
 
@@ -988,16 +854,12 @@ def lake_token_stats(
             "n_tokens": pa.array(toks, pa.int64()),
         })
 
-    folded = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    if folded.empty:
-        return pa.table({"bucket_lo": pa.array([], pa.int64()),
-                         "n_docs": pa.array([], pa.int64()),
-                         "n_tokens": pa.array([], pa.int64())})
-    g = folded.groupby("bucket_lo", as_index=False).sum().sort_values(
-        "bucket_lo")
+    folded = tree_fold(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        sum_by(["bucket_lo"], ["n_docs", "n_tokens"]),
+        lambda df: df.sort_values("bucket_lo"),
+    ).to_pandas()
     return pa.table({
-        "bucket_lo": pa.array(g["bucket_lo"], pa.int64()),
-        "n_docs": pa.array(g["n_docs"], pa.int64()),
-        "n_tokens": pa.array(g["n_tokens"], pa.int64()),
+        name: pa.array(folded[name] if name in folded else [], pa.int64())
+        for name in ("bucket_lo", "n_docs", "n_tokens")
     })

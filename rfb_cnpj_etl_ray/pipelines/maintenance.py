@@ -18,7 +18,6 @@ trade; the reference has no deletes at all, it drops the whole DB).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -27,7 +26,6 @@ import pyarrow.compute as pc
 
 from rfb_cnpj_etl_ray.config import EngineConfig, check_num_partitions
 from rfb_cnpj_etl_ray.hashing import partition_ids
-from rfb_cnpj_etl_ray.spec import schema_from_jsonable
 from rfb_cnpj_etl_ray.stages.exchange import run_tasks
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
@@ -37,7 +35,7 @@ from rfb_cnpj_etl_ray.stages.merge import (
     staged_exchange,
     write_partition_snapshot,
 )
-from rfb_cnpj_etl_ray.state.commitlog import CommitLog, partition_files
+from rfb_cnpj_etl_ray.state.commitlog import CommitLog, next_partitions
 
 
 class LakeValidationError(RuntimeError):
@@ -55,16 +53,14 @@ def validate_lake(lake_dir: str | Path, table: str = "sequences",
 
     Returns a report; with ``strict`` raises LakeValidationError on any
     violation (the reference aborts on FK failure the same way)."""
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    commit = log.latest()
-    if commit is None:
-        raise LakeValidationError(f"no commits in {table_dir}")
-    int_sch = internal_schema(schema_from_jsonable(commit["schema"]))
-    num_partitions = commit["num_partitions"]
+    snap = CommitLog(Path(lake_dir) / table).snapshot()
+    table_dir = snap.table_dir
+    int_sch = internal_schema(snap.schema)
+    num_partitions = snap.num_partitions
     items = [
-        {"part": int(p), "rels": partition_files(v), "rows": int(v["rows"])}
-        for p, v in commit["partitions"].items()
+        {"part": int(p), "rels": snap.files.get(int(p), []),
+         "rows": int(v["rows"])}
+        for p, v in snap.partitions.items()
     ]
 
     def check(item: dict) -> dict:
@@ -107,7 +103,7 @@ def validate_lake(lake_dir: str | Path, table: str = "sequences",
     violations = {r["part"]: r["violations"] for r in results if r["violations"]}
     report = {
         "table": table,
-        "epoch": commit["epoch"],
+        "epoch": snap.epoch,
         "partitions_checked": len(results),
         "rows_total": sum(r["rows"] for r in results),
         "violations": violations,
@@ -133,47 +129,25 @@ def repartition_lake(
     applies; the commit flips ``num_partitions`` so subsequent ingests
     route with the new modulus. Tombstones and per-row ``_lsn`` travel
     along, so replay semantics are unchanged."""
-    from rfb_cnpj_etl_ray.pipelines.ingest import read_lake
+    from rfb_cnpj_etl_ray.pipelines.ingest import read_snapshot
 
     check_num_partitions(new_num_partitions)
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    commit = log.latest()
-    if commit is None:
-        raise RuntimeError(f"no commits in {table_dir}")
-    epoch = commit["epoch"] + 1
+    log = CommitLog(Path(lake_dir) / table)
+    snap = log.snapshot()
     # phase 1 re-routes the folded committed state (tombstones included)
     # under the NEW modulus; phase 2 writes each new partition's snapshot
-    state = read_lake(lake_dir, table, include_tombstones=True)
-    with staged_exchange(state, table_dir, epoch,
-                         schema_from_jsonable(commit["schema"]),
+    with staged_exchange(read_snapshot(snap, include_tombstones=True),
+                         snap.table_dir, snap.epoch + 1, snap.schema,
                          new_num_partitions, cfg, prep="state") as exchange:
         staged = exchange.rows
-        log.append({
-            "epoch": epoch,
-            "table": table,
-            "num_partitions": new_num_partitions,
-            "schema": commit["schema"],
-            "partitions": {
-                str(r["part"]): {
-                    "file": r["file"], "rows": r["rows"],
-                    "live_rows": r["live_rows"], "bytes": r["bytes"],
-                    "lsn_high": r["lsn_high"], "events_applied": 0,
-                    "doc_id_min": r["doc_id_min"],
-                    "doc_id_max": r["doc_id_max"],
-                }
-                for r in staged
-            },
-            "segments": commit.get("segments", []),
-            "parent": commit["epoch"],
-            **({"compaction_watermark": commit["compaction_watermark"]}
-               if commit.get("compaction_watermark") is not None else {}),
-            "metrics": {"repartitioned_from": commit["num_partitions"],
-                        "seconds": round(time.perf_counter() - t0, 3)},
-        })
-    return {"epoch": epoch, "num_partitions": new_num_partitions,
+        # the partition ids restart under the new modulus
+        log.commit_next(snap, next_partitions({}, staged, "fold"), {
+            "repartitioned_from": snap.num_partitions,
+            "seconds": round(time.perf_counter() - t0, 3),
+        }, num_partitions=new_num_partitions)
+    return {"epoch": snap.epoch + 1, "num_partitions": new_num_partitions,
             "partitions_written": len(staged)}
 
 
@@ -190,25 +164,24 @@ def gc_snapshots(lake_dir: str | Path, table: str = "sequences",
     its epoch-N+1 files (and tmp files) in the part dirs BEFORE appending
     the commit record, so GC only deletes data files whose epoch —
     encoded in the ``epoch-NNNNNN`` / ``delta-NNNNNN`` filename — is
-    ``<=`` the newest COMMITTED epoch (uncommitted future epochs are
-    invisible to it), and only unlinks ``.tmp-*`` files older than
+    ``<=`` the newest committed epoch of the one log snapshot it plans
+    from (later epochs are invisible to it), and only unlinks ``.tmp-*`` files older than
     ``tmp_grace_seconds`` (a live writer's tmps are seconds old; a
     crashed writer's are hours old)."""
-    import json as _json
     import time as _time
 
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    commits = log.commits()
-    if not commits:
-        raise RuntimeError(f"no commits in {table_dir}")
+    log = CommitLog(Path(lake_dir) / table)
+    head = log.snapshot()
+    table_dir = head.table_dir
     keep = max(1, keep_commits)
+    # the kept file set and the delete bound both come from ``head``: an
+    # epoch committed after it was read writes newer-epoch files, which
+    # the bound leaves alone
     referenced: set[str] = set()
-    for path in commits[-keep:]:
-        rec = _json.loads(path.read_text())
-        for v in rec["partitions"].values():
-            referenced.update(partition_files(v))
-    newest_epoch = log.latest_epoch()
+    for snap in [head] + [log.snapshot(e) for e in range(
+            max(0, head.epoch - keep + 1), head.epoch)]:
+        for rels in snap.files.values():
+            referenced.update(rels)
     removed, freed = 0, 0
     for f in sorted(table_dir.glob("part=*/[de]*.parquet")):
         rel = str(f.relative_to(table_dir))
@@ -216,7 +189,7 @@ def gc_snapshots(lake_dir: str | Path, table: str = "sequences",
             file_epoch = int(f.stem.split("-")[1])
         except (IndexError, ValueError):
             continue  # not an engine data file — never touch it
-        if rel not in referenced and file_epoch <= newest_epoch:
+        if rel not in referenced and file_epoch <= head.epoch:
             freed += f.stat().st_size
             f.unlink()
             removed += 1
@@ -236,7 +209,7 @@ def gc_snapshots(lake_dir: str | Path, table: str = "sequences",
         t.unlink(missing_ok=True)
         removed += 1
     for s in (table_dir / "_staging").glob("epoch-*"):
-        if int(s.name.split("-")[1]) <= newest_epoch:
+        if int(s.name.split("-")[1]) <= head.epoch:
             _shutil.rmtree(s, ignore_errors=True)
     return {"removed_files": removed, "freed_bytes": freed,
             "kept_commits": keep}
@@ -259,19 +232,17 @@ def compact_deltas(
     per-partition delta stacks)."""
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    commit = log.latest()
-    if commit is None:
-        raise RuntimeError(f"no commits in {table_dir}")
-    int_sch = internal_schema(schema_from_jsonable(commit["schema"]))
-    epoch = commit["epoch"] + 1
+    log = CommitLog(Path(lake_dir) / table)
+    snap = log.snapshot()
+    table_dir = snap.table_dir
+    int_sch = internal_schema(snap.schema)
+    epoch = snap.epoch + 1
 
     import pyarrow.parquet as pq_
 
     items = []
-    for p, v in commit["partitions"].items():
-        deltas = [d for d in v.get("deltas", []) if d is not None]
+    for p, v in snap.partitions.items():
+        deltas = v.get("deltas", [])
         if not deltas:
             continue
         base_file = v.get("file")
@@ -287,11 +258,10 @@ def compact_deltas(
             continue
         if base_rows and d_rows < min_delta_ratio * base_rows:
             continue
-        items.append({"part": int(p), "rels": partition_files(v)})
+        items.append({"part": int(p), "rels": snap.files[int(p)]})
 
     if not items:
-        return {"epoch": commit["epoch"], "partitions_folded": 0,
-                "noop": True}
+        return {"epoch": snap.epoch, "partitions_folded": 0, "noop": True}
 
     def fold(item: dict) -> dict:
         # the fold is lww_reduce output (or one snapshot/delta file that
@@ -302,28 +272,9 @@ def compact_deltas(
             row_group_size=cfg.row_group_size)
 
     results = run_tasks(fold, items)
-    partitions = dict(commit["partitions"])
-    for r in results:
-        old = dict(partitions[str(r["part"])])
-        old.update({
-            "file": r["file"], "rows": r["rows"], "live_rows": r["live_rows"],
-            "bytes": r["bytes"], "doc_id_min": r["doc_id_min"],
-            "doc_id_max": r["doc_id_max"],
-        })
-        old.pop("deltas", None)
-        partitions[str(r["part"])] = old
-    log.append({
-        "epoch": epoch,
-        "table": table,
-        "num_partitions": commit["num_partitions"],
-        "schema": commit["schema"],
-        "partitions": partitions,
-        "segments": commit.get("segments", []),
-        "parent": commit["epoch"],
-        **({"compaction_watermark": commit["compaction_watermark"]}
-           if commit.get("compaction_watermark") is not None else {}),
-        "metrics": {"partitions_folded": len(results),
-                    "seconds": round(time.perf_counter() - t0, 3)},
+    log.commit_next(snap, next_partitions(snap.partitions, results, "fold"), {
+        "partitions_folded": len(results),
+        "seconds": round(time.perf_counter() - t0, 3),
     })
     return {"epoch": epoch, "partitions_folded": len(results), "noop": False}
 
@@ -337,19 +288,15 @@ def compact(lake_dir: str | Path, table: str = "sequences",
     refuse to apply events at or below it (GC safety)."""
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    commit = log.latest()
-    if commit is None:
-        raise RuntimeError(f"no commits in {table_dir}")
-    int_sch = internal_schema(schema_from_jsonable(commit["schema"]))
+    log = CommitLog(Path(lake_dir) / table)
+    snap = log.snapshot()
+    table_dir = snap.table_dir
+    int_sch = internal_schema(snap.schema)
     if watermark_lsn is None:
-        highs = [v["lsn_high"] for v in commit["partitions"].values()
-                 if v.get("lsn_high") is not None]
-        watermark_lsn = max(highs) if highs else 0
-    epoch = commit["epoch"] + 1
-    items = [{"part": int(p), "rels": partition_files(v)}
-             for p, v in commit["partitions"].items()]
+        watermark_lsn = snap.lsn_high or 0
+    epoch = snap.epoch + 1
+    items = [{"part": int(p), "rels": snap.files.get(int(p), [])}
+             for p in snap.partitions]
 
     def rewrite(item: dict) -> dict:
         # fold base + deltas (merge-on-read) into one snapshot, then GC
@@ -365,31 +312,12 @@ def compact(lake_dir: str | Path, table: str = "sequences",
         return {**written, "dropped": t.num_rows - kept.num_rows}
 
     results = run_tasks(rewrite, items)
-
-    partitions = dict(commit["partitions"])
-    dropped = 0
-    for r in results:
-        old = partitions[str(r["part"])]
-        entry = {
-            **old, "file": r["file"], "rows": r["rows"],
-            "live_rows": r["live_rows"], "bytes": r["bytes"],
-            "doc_id_min": r["doc_id_min"], "doc_id_max": r["doc_id_max"],
-        }
-        entry.pop("deltas", None)  # deltas folded into the new snapshot
-        partitions[str(r["part"])] = entry
-        dropped += r["dropped"]
-    log.append({
-        "epoch": epoch,
-        "table": table,
-        "num_partitions": commit["num_partitions"],
-        "schema": commit["schema"],
-        "partitions": partitions,
-        "segments": commit.get("segments", []),
-        "parent": commit["epoch"],
-        "compaction_watermark": int(watermark_lsn),
-        "metrics": {"tombstones_dropped": dropped,
-                    "seconds": round(time.perf_counter() - t0, 3)},
-    })
+    dropped = sum(r["dropped"] for r in results)
+    # deltas are folded into the new snapshots
+    log.commit_next(snap, next_partitions(snap.partitions, results, "fold"), {
+        "tombstones_dropped": dropped,
+        "seconds": round(time.perf_counter() - t0, 3),
+    }, watermark=int(watermark_lsn))
     return {"epoch": epoch, "watermark_lsn": int(watermark_lsn),
             "tombstones_dropped": dropped}
 
@@ -410,20 +338,18 @@ def partition_lineage(lake_dir: str | Path, table: str = "sequences",
     are opened, so the call is O(commits), not O(data).
     """
     log = CommitLog(Path(lake_dir) / table)
-    records = [json.loads(p.read_text()) for p in log.commits()]
-    if not records:
-        raise RuntimeError(f"no commits for table {table!r} in {lake_dir}")
+    head = log.snapshot()
     chains: dict[str, list[dict]] = {}
     prev_parts: dict = {}
-    for rec in records:
-        seg_new = rec.get("metrics", {}).get("segments_this_epoch", [])
-        for pkey, info in rec.get("partitions", {}).items():
+    for snap in [log.snapshot(e) for e in range(head.epoch)] + [head]:
+        seg_new = snap.metrics.get("segments_this_epoch", [])
+        for pkey, info in snap.partitions.items():
             if part is not None and int(pkey) != part:
                 continue
             if prev_parts.get(pkey) == info:
                 continue  # untouched this epoch
             chains.setdefault(pkey, []).append({
-                "epoch": rec["epoch"],
+                "epoch": snap.epoch,
                 "file": info.get("file"),
                 "deltas": info.get("deltas", []),
                 "rows": info.get("rows"),
@@ -431,11 +357,10 @@ def partition_lineage(lake_dir: str | Path, table: str = "sequences",
                 "events_applied": info.get("events_applied"),
                 "segments_this_epoch": seg_new,
             })
-        prev_parts = rec.get("partitions", {})
-    head = records[-1]
+        prev_parts = snap.partitions
     return {
         "table": table,
-        "head_epoch": head["epoch"],
-        "num_partitions": head["num_partitions"],
+        "head_epoch": head.epoch,
+        "num_partitions": head.num_partitions,
         "partitions": chains,
     }

@@ -118,14 +118,10 @@ def export_lake(
 
     if sink not in SINKS:
         raise ValueError(f"unknown sink {sink!r}; registered: {sorted(SINKS)}")
-    table_dir = Path(lake_dir) / table
-    log = CommitLog(table_dir)
-    payload = log.committed_schema()
-    if payload is None:
-        raise RuntimeError(f"no commits in {table_dir}")
-    int_sch = internal_schema(payload)
-    items = [{"part": p, "rels": rels}
-             for p, rels in log.partition_file_lists().items()]
+    snap = CommitLog(Path(lake_dir) / table).snapshot()
+    table_dir = snap.table_dir
+    int_sch = internal_schema(snap.schema)
+    items = [{"part": p, "rels": rels} for p, rels in snap.files.items()]
     the_sink = SINKS[sink](out_dir, **sink_kwargs)
 
     def write_one(item: dict) -> dict:

@@ -22,14 +22,18 @@ import pyarrow.parquet as pq
 import ray.data
 
 
-def read_table(path: str, columns: list[str] | None = None, **kwargs):
+def read_table(path: str | list[str], columns: list[str] | None = None,
+               **kwargs):
     """``ray.data.read_parquet`` with a declared, metadata-free schema.
 
+    ``path`` is one file or a list of files of one table (e.g. the parts
+    of one ``write_parquet`` spill); the schema is read from the first.
     ``columns`` prunes the declared schema to match the projected output;
     row filters (``filter=``) may still reference non-projected columns —
     they are evaluated against the file schema, not the declared one.
     """
-    sch = pq.read_schema(path).remove_metadata()
+    first = path if isinstance(path, str) else path[0]
+    sch = pq.read_schema(first).remove_metadata()
     if columns is not None:
         sch = pa.schema([sch.field(c) for c in columns])
     return ray.data.read_parquet(path, columns=columns, schema=sch, **kwargs)

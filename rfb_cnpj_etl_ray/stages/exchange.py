@@ -85,8 +85,9 @@ _fetched: "OrderedDict[bytes, object]" = OrderedDict()
 _fetch_lock = threading.Lock()
 
 
-def sum_by(keys: list[str], col: str):
-    """``tree_fold`` combine for count partials: sum ``col`` per key."""
+def sum_by(keys: list[str], col: str | list[str]):
+    """``tree_fold`` combine for count partials: sum ``col`` (one column
+    or a list of columns) per key."""
 
     def combine(df):
         return df.groupby(keys, as_index=False)[col].sum()

@@ -335,7 +335,7 @@ def make_partition_fold(
     table_dir: str,
     staging_dir: str,
     epoch: int,
-    current_files: dict[int, list[str]],
+    part_files: dict[int, list[str]],
     payload_schema_json: list[list[str]],
     compression: str = "zstd",
     row_group_size: int = 64 * 1024,
@@ -354,7 +354,7 @@ def make_partition_fold(
     next cow/compact fold it in (merge-on-read)."""
     payload_schema = schema_from_jsonable(payload_schema_json)
     int_sch = internal_schema(payload_schema)
-    files = {int(k): list(v) for k, v in current_files.items()}
+    files = {int(k): list(v) for k, v in part_files.items()}
     delta = write_mode == "delta"
 
     def fold(item: dict) -> dict | None:
@@ -469,7 +469,7 @@ def staged_exchange(
     cfg,
     prep: str = "events",
     write_mode: str = "cow",
-    current_files: dict[int, list[str]] | None = None,
+    part_files: dict[int, list[str]] | None = None,
     min_lsn_exclusive: int | None = None,
     progress_counter=None,
     t0: float | None = None,
@@ -523,7 +523,7 @@ def staged_exchange(
     # phase 2: every touched partition has staged chunks, so every task
     # returns a manifest row
     rows = run_tasks(make_partition_fold(
-        str(table_dir), str(staging), epoch, current_files or {},
+        str(table_dir), str(staging), epoch, part_files or {},
         schema_to_jsonable(payload_schema),
         compression=cfg.compression, row_group_size=cfg.row_group_size,
         write_mode=write_mode, worker_threads=threads, chunk_glob=chunk_glob,

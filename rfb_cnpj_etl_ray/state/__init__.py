@@ -1,7 +1,6 @@
 from rfb_cnpj_etl_ray.state.commitlog import (
     CommitLog,
     init_lake,
-    lake_dataset_files,
 )
 from rfb_cnpj_etl_ray.state.manifest import (
     ManifestError,
@@ -12,7 +11,6 @@ from rfb_cnpj_etl_ray.state.manifest import (
 __all__ = [
     "CommitLog",
     "init_lake",
-    "lake_dataset_files",
     "ManifestError",
     "read_manifest",
     "validate_segments",

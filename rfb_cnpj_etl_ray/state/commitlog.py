@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from dataclasses import dataclass
 from pathlib import Path
 
 import pyarrow as pa
@@ -67,15 +68,140 @@ def atomic_write_table(table: pa.Table, path: Path, compression: str = "zstd",
     return size
 
 
-def partition_files(entry: dict) -> list[str]:
-    """[base snapshot, *delta files] of one commit-record partition entry
-    (relative paths). A file-less hole yields []."""
-    return [f for f in [entry.get("file"), *entry.get("deltas", [])]
-            if f is not None]
+@dataclass(frozen=True)
+class Snapshot:
+    """One commit record, read once: everything a lake operation needs
+    from the log. Every operation takes one snapshot per epoch it names,
+    so its schema, file lists and checkpoints all describe the same
+    committed state even while a writer appends the next epoch."""
+
+    table_dir: Path
+    epoch: int
+    num_partitions: int
+    #: payload schema (no internal bookkeeping columns)
+    schema: pa.Schema
+    #: raw commit-record partition entries, keyed by ``str(part)``
+    partitions: dict[str, dict]
+    #: part -> [base snapshot, *delta files] (relative paths); the
+    #: logical partition state is the LWW fold over the list. Partitions
+    #: without a file (holes) hold no rows and are omitted.
+    files: dict[int, list[str]]
+    #: any partition has pending merge-on-read deltas
+    deltas_pending: bool
+    #: tombstones at or below this LSN were dropped by ``compact``; ingest
+    #: refuses events at or below it
+    watermark: int | None
+    #: identities of every change-log segment applied so far
+    segments: list[str]
+    metrics: dict
+
+    @classmethod
+    def of(cls, table_dir: Path, record: dict) -> "Snapshot":
+        # [base snapshot, *delta files]; a file-less hole has neither
+        files = {int(k): [f for f in [v.get("file"), *v.get("deltas", [])]
+                          if f is not None]
+                 for k, v in record["partitions"].items()}
+        return cls(
+            table_dir=table_dir,
+            epoch=record["epoch"],
+            num_partitions=record["num_partitions"],
+            schema=schema_from_jsonable(record["schema"]),
+            partitions=record["partitions"],
+            files={k: v for k, v in files.items() if v},
+            deltas_pending=any(v.get("deltas")
+                               for v in record["partitions"].values()),
+            watermark=record.get("compaction_watermark"),
+            segments=record.get("segments", []),
+            metrics=record.get("metrics", {}),
+        )
+
+    @property
+    def lsn_high(self) -> int | None:
+        """Highest committed event LSN over all partitions (None before
+        the first event)."""
+        return max((v["lsn_high"] for v in self.partitions.values()
+                    if v.get("lsn_high") is not None), default=None)
+
+    def require_files(self) -> None:
+        """Fail fast, naming the pruned file, when this epoch's data files
+        were garbage-collected (time travel past the ``gc_snapshots``
+        window). A driver-side stat per file, no data read."""
+        for rels in self.files.values():
+            for rel in rels:
+                if not (self.table_dir / rel).exists():
+                    raise RuntimeError(
+                        f"epoch {self.epoch} is outside the GC retention "
+                        f"window: {self.table_dir / rel} was pruned "
+                        f"(gc_snapshots keep_commits)")
+
+
+def next_partitions(prev: dict | None, rows: list[dict],
+                    mode: str = "cow") -> dict:
+    """The one rule for commit-record partition entries: ``prev`` (the
+    parent's entries; ``{}`` when the partition ids restart, None for
+    epoch 0) with each written file's manifest row in ``rows`` applied.
+
+    ``mode`` names what the rows are:
+
+    * ``"cow"`` — each row is the partition's next full snapshot, after
+      applying the row's ``events_applied`` change events;
+    * ``"delta"`` — each row is a merge-on-read delta of new events,
+      stacked on the partition's current files;
+    * ``"fold"`` — each row re-writes the partition's committed state and
+      applies no event (init, repartition, compaction), so
+      ``events_applied`` carries over.
+
+    The checkpoint ``lsn_high`` never regresses, and epoch 0 has none."""
+    partitions = dict(prev or {})
+    for row in rows:
+        old = partitions.get(str(row["part"]), {})
+        # a LATE lower-LSN segment applied in a later epoch must not pull
+        # lsn_high below rows already materialized at higher LSNs
+        # (merge_into / compact / lake_changes all key off it)
+        lsn_high = None if prev is None else max(
+            (x for x in (old.get("lsn_high"), row.get("lsn_high"))
+             if x is not None),
+            default=None)
+        entry = {k: row[k] for k in ("file", "rows", "live_rows", "bytes",
+                                     "doc_id_min", "doc_id_max")}
+        entry["lsn_high"] = lsn_high
+        entry["events_applied"] = (old.get("events_applied", 0)
+                                   if mode == "fold" else row["events_applied"])
+        if mode == "delta":
+            # merge-on-read: keep the base snapshot, append the delta;
+            # physical rows accumulate, the live count is unknown until
+            # the next fold. Every committed file carries its bounds (None
+            # only when it has no rows), so the zone map is their union.
+            mins = [m for m in (old.get("doc_id_min"), row["doc_id_min"])
+                    if m is not None]
+            maxs = [m for m in (old.get("doc_id_max"), row["doc_id_max"])
+                    if m is not None]
+            # first write into a hole (no committed file — possible after
+            # init_lake_from_dataset on an untouched partition): the delta
+            # IS the partition's complete LWW state, so it becomes the base
+            # snapshot instead of a null base that readers would crash on
+            deltas = list(old.get("deltas", []))
+            if old.get("file") is None and not deltas:
+                base = row["file"]
+            else:
+                base = old["file"]
+                deltas.append(row["file"])
+            entry.update({
+                "file": base, "deltas": deltas,
+                "rows": int(old.get("rows", 0)) + row["rows"],
+                "live_rows": None,
+                "bytes": int(old.get("bytes", 0)) + row["bytes"],
+                "doc_id_min": min(mins) if mins else None,
+                "doc_id_max": max(maxs) if maxs else None,
+            })
+        partitions[str(row["part"])] = entry
+    return partitions
 
 
 class CommitLog:
-    """Append-only JSON commit log for one lake table."""
+    """Append-only JSON commit log for one lake table. The record format
+    lives in this module only: read it with :meth:`snapshot`, write it
+    with :meth:`commit_next`."""
 
     def __init__(self, table_dir: str | Path):
         self.table_dir = Path(table_dir)
@@ -105,64 +231,56 @@ class CommitLog:
             return None
         return json.loads(path.read_text())
 
-    def _commit(self, epoch: int | None) -> dict | None:
-        return self.latest() if epoch is None else self.commit_at(epoch)
-
-    def latest_epoch(self) -> int:
-        c = self.latest()
-        return -1 if c is None else c["epoch"]
-
-    def checkpoint_lsns(self) -> dict[int, int]:
-        """partition -> highest committed lsn (engine's resume offsets)."""
-        c = self.latest()
-        if c is None:
-            return {}
-        return {
-            int(k): v["lsn_high"]
-            for k, v in c["partitions"].items()
-            if v["lsn_high"] is not None
-        }
-
-    def current_files(self, epoch: int | None = None) -> dict[int, Path]:
-        """partition -> committed base snapshot file (at ``epoch``, or
-        the newest commit when None). Entries without a materialized
-        file (holes from init_lake_distributed on untouched partitions)
-        are skipped — they hold no rows."""
-        c = self._commit(epoch)
-        if c is None:
-            return {}
-        return {
-            int(k): self.table_dir / v["file"]
-            for k, v in c["partitions"].items()
-            if v.get("file") is not None
-        }
-
-    def partition_file_lists(self, epoch: int | None = None) -> dict[int, list[str]]:
-        """partition -> [base snapshot, *delta files] (relative paths)
-        at ``epoch`` (newest commit when None). The logical partition
-        state is the LWW fold over this list (merge-on-read; a cow
-        table has single-element lists). None entries (file-less holes)
-        are filtered; an empty list means the partition holds no rows
-        and is omitted."""
-        c = self._commit(epoch)
-        if c is None:
-            return {}
-        out = {}
-        for k, v in c["partitions"].items():
-            rels = partition_files(v)
-            if rels:
-                out[int(k)] = rels
-        return out
-
-    def has_deltas(self, epoch: int | None = None) -> bool:
-        c = self._commit(epoch)
-        return bool(c) and any(v.get("deltas") for v in c["partitions"].values())
-
-    def committed_schema(self, epoch: int | None = None) -> pa.Schema | None:
-        c = self._commit(epoch)
-        return None if c is None else schema_from_jsonable(c["schema"])
+    def snapshot(self, epoch: int | None = None) -> Snapshot:
+        """The commit at ``epoch`` (the newest when None), read once."""
+        record = self.latest() if epoch is None else self.commit_at(epoch)
+        if record is None:
+            head = None if epoch is None else self.latest()
+            if head is None:
+                raise RuntimeError(f"lake table {self.table_dir} not "
+                                   "initialized (run init_lake first)")
+            raise RuntimeError(
+                f"epoch {epoch} was never committed in {self.table_dir} "
+                f"(latest epoch: {head['epoch']})")
+        return Snapshot.of(self.table_dir, record)
 
     # -- writes ------------------------------------------------------------
+
+    def commit_next(
+        self,
+        parent: Snapshot | None,
+        partitions: dict,
+        metrics: dict,
+        *,
+        num_partitions: int | None = None,
+        schema: pa.Schema | None = None,
+        segments: list[str] | None = None,
+        watermark: int | None = None,
+    ) -> dict:
+        """Append the commit that follows ``parent`` (epoch 0 when None)
+        and return its record. ``partitions`` comes from
+        :func:`next_partitions`. Fields left out carry over from the
+        parent: partition count, payload schema, applied segments and the
+        compaction watermark."""
+        if parent is not None:
+            num_partitions = num_partitions or parent.num_partitions
+            schema = parent.schema if schema is None else schema
+            segments = parent.segments if segments is None else segments
+            watermark = parent.watermark if watermark is None else watermark
+        record = {
+            "epoch": 0 if parent is None else parent.epoch + 1,
+            "parent": None if parent is None else parent.epoch,
+            "table": self.table_dir.name,
+            "num_partitions": num_partitions,
+            "schema": schema_to_jsonable(schema),
+            "partitions": partitions,
+            "segments": segments or [],
+            "metrics": metrics,
+        }
+        if watermark is not None:
+            record["compaction_watermark"] = watermark
+        self.append(record)
+        return record
 
     def append(self, record: dict) -> Path:
         """Atomically append ``commit-{epoch}.json``.
@@ -235,40 +353,21 @@ def init_lake(
     key = spec.key[0]
     base = _internal_rows(base, spec.schema, prep="base").sort_by(key)
     parts = partition_ids(base.column(key), num_partitions)
-    partitions: dict[str, dict] = {}
     import numpy as np
 
     order = np.argsort(parts, kind="stable")
     sorted_tbl = base.take(pa.array(order))
     bounds = np.searchsorted(parts[order], np.arange(num_partitions + 1))
-    for p in range(num_partitions):
-        chunk = sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-        row = write_partition_snapshot(chunk, table_dir, p, 0,
-                                       compression=compression)
-        partitions[str(p)] = {
-            "file": row["file"], "rows": row["rows"],
-            "live_rows": row["live_rows"], "bytes": row["bytes"],
-            "lsn_high": None, "events_applied": 0,
-            "doc_id_min": row["doc_id_min"], "doc_id_max": row["doc_id_max"],
-        }
-    log.append(
-        {
-            "epoch": 0,
-            "table": spec.name,
-            "num_partitions": num_partitions,
-            "schema": schema_to_jsonable(spec.schema),
-            "partitions": partitions,
-            "parent": None,
-            "metrics": {"rows_total": base.num_rows},
-        }
-    )
+    rows = [
+        write_partition_snapshot(
+            sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p])),
+            table_dir, p, 0, compression=compression)
+        for p in range(num_partitions)
+    ]
+    log.commit_next(None, next_partitions(None, rows, "fold"),
+                    {"rows_total": base.num_rows},
+                    num_partitions=num_partitions, schema=spec.schema)
     return log
-
-
-def lake_dataset_files(lake_dir: str | Path, table: str) -> list[str]:
-    """Current committed snapshot files — feed to ray.data.read_parquet."""
-    log = CommitLog(Path(lake_dir) / table)
-    return [str(p) for p in log.current_files().values()]
 
 
 def load_spec(lake_dir: str | Path, table: str) -> TableSpec:

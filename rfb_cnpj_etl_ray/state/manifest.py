@@ -30,12 +30,18 @@ def read_manifest(log_dir: str | Path) -> dict:
     return json.loads(path.read_text())
 
 
-def validate_segments(log_dir: str | Path, strict: bool = True) -> dict:
-    """Compare manifest vs files on disk; return the three diagnostic sets
-    (missing, excess, size_mismatch). With ``strict`` raise ManifestError
-    on any discrepancy — the reference aborts the run the same way."""
+def validate_segments(log_dir: str | Path, strict: bool = True,
+                      manifest: dict | None = None) -> dict:
+    """Compare ``manifest`` (read from ``log_dir`` when None) vs files on
+    disk; return the three diagnostic sets (missing, excess,
+    size_mismatch). With ``strict`` raise ManifestError on any
+    discrepancy — the reference aborts the run the same way. A caller
+    that applies the manifest passes the dict it read, so the manifest it
+    validates is the one it applies even while a producer replaces
+    ``manifest.json``."""
     log_dir = Path(log_dir)
-    manifest = read_manifest(log_dir)
+    if manifest is None:
+        manifest = read_manifest(log_dir)
     declared = {s["name"]: s for s in manifest["segments"]}
     on_disk = {p.name: p for p in log_dir.glob("*.parquet")}
 
@@ -55,19 +61,6 @@ def validate_segments(log_dir: str | Path, strict: bool = True) -> dict:
     if strict and (missing or size_mismatch):
         raise ManifestError(f"segment validation failed: {diagnostics}")
     return diagnostics
-
-
-def select_segments(log_dir: str | Path, min_lsn_exclusive: int | None) -> list[dict]:
-    """Segments that may contain events with lsn > ``min_lsn_exclusive``
-    (manifest pruning: fully-committed segments are skipped without a
-    read). ``None`` means no checkpoint yet — take everything."""
-    manifest = read_manifest(log_dir)
-    segs = sorted(manifest["segments"], key=lambda s: s["name"])
-    if min_lsn_exclusive is None:
-        return segs
-    return [
-        s for s in segs if s["max_lsn"] is not None and s["max_lsn"] > min_lsn_exclusive
-    ]
 
 
 def manifest_from_dir(log_dir: str | Path, lsn_col: str = "lsn") -> dict:

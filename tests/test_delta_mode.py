@@ -38,7 +38,7 @@ def test_delta_multi_epoch_matches_oracle(ray_session, tmp_path):
     log = CommitLog(lake / "sequences")
     c = log.latest()
     # every touched partition accumulated deltas; base snapshot untouched
-    assert log.has_deltas()
+    assert log.snapshot().deltas_pending
     assert any(len(v.get("deltas", [])) >= 2 for v in c["partitions"].values())
     assert all(v["file"].endswith("epoch-000000.parquet")
                for v in c["partitions"].values())
@@ -76,7 +76,7 @@ def test_delta_validate_and_compact(ray_session, tmp_path):
     before = read_lake_table(lake)
     r = compact(lake)
     log = CommitLog(lake / "sequences")
-    assert not log.has_deltas()  # folded away
+    assert not log.snapshot().deltas_pending  # folded away
     assert_states_equal(before, read_lake_table(lake))
     # post-compaction: physical rows == live rows (tombstones GC'd)
     c = log.latest()
@@ -94,7 +94,7 @@ def test_mixed_cow_then_delta_then_cow(ray_session, tmp_path):
         step = EngineConfig(num_partitions=4, write_mode=mode)
         ingest(lake, log_dir, cfg=step)
     # the final cow epoch folded the deltas back in
-    assert not CommitLog(lake / "sequences").has_deltas()
+    assert not CommitLog(lake / "sequences").snapshot().deltas_pending
     assert_states_equal(replay(base, events), read_lake_table(lake))
 
 
@@ -168,7 +168,7 @@ def test_size_tiered_delta_compaction(ray_session, tmp_path):
     # high threshold → noop; zero threshold → everything folds
     assert compact_deltas(lake, min_delta_ratio=10_000)["noop"] or not kept
     r2 = compact_deltas(lake, min_delta_ratio=0.0)
-    assert not CommitLog(lake / "sequences").has_deltas()
+    assert not CommitLog(lake / "sequences").snapshot().deltas_pending
     assert_states_equal(expected, read_lake_table(lake))
 
     # ingest continues normally on the mixed table

@@ -66,7 +66,7 @@ def test_add_column_evolution(ray_session, tmp_path):
     )
     assert_states_equal(replay(base, all_ev), out)
     # committed schema recorded the evolution
-    sch = CommitLog(lake / "sequences").committed_schema()
+    sch = CommitLog(lake / "sequences").snapshot().schema
     assert sch.field("lang").type == pa.string()
 
 
@@ -175,7 +175,7 @@ def test_evolution_survives_sigkill_and_dup_batch(ray_session, tmp_path):
     out = read_lake_table(lake)
     assert "lang" in out.schema.names
     assert_states_equal(replay(base, all_ev), out)
-    sch = CommitLog(lake / "sequences").committed_schema()
+    sch = CommitLog(lake / "sequences").snapshot().schema
     assert sch.field("lang").type == pa.string()
 
 
@@ -195,4 +195,4 @@ def test_narrowing_rejected_loudly(ray_session, tmp_path):
     with pytest.raises(SchemaEvolutionError):
         ingest(lake, log_dir, cfg=EngineConfig(num_partitions=2))
     # nothing committed
-    assert CommitLog(lake / "sequences").latest_epoch() == 0
+    assert CommitLog(lake / "sequences").snapshot().epoch == 0

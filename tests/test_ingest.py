@@ -67,7 +67,7 @@ def test_incremental_epochs_match_full_replay(ray_session, tmp_path):
     expected = replay(base, events)
     assert_states_equal(expected, read_lake_table(lake))
     # three commits + epoch 0
-    assert CommitLog(lake / "sequences").latest_epoch() == 3
+    assert CommitLog(lake / "sequences").snapshot().epoch == 3
 
 
 def test_duplicated_batch_injection_is_noop(ray_session, tmp_path):
@@ -94,16 +94,21 @@ def test_duplicated_batch_injection_is_noop(ray_session, tmp_path):
     assert_states_equal(state1, read_lake_table(lake))
 
 
-def test_crash_before_commit_then_resume(ray_session, tmp_path):
+def _crash_at_commit(self, record):
+    """``CommitLog.append`` stand-in: a crash between staging and commit."""
+    raise RuntimeError("injected failure before commit")
+
+
+def test_crash_before_commit_then_resume(ray_session, tmp_path, monkeypatch):
     """Kill between staging and commit; resume completes the epoch."""
     base, events, log_dir, lake, cfg = _setup(tmp_path)
-    cfg.fail_before_commit = True
-    with pytest.raises(RuntimeError, match="injected failure"):
-        ingest(lake, log_dir, cfg=cfg)
+    with monkeypatch.context() as m:
+        m.setattr(CommitLog, "append", _crash_at_commit)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            ingest(lake, log_dir, cfg=cfg)
     # nothing committed: lake still at epoch 0, public state = base
     log = CommitLog(lake / "sequences")
-    assert log.latest_epoch() == 0
-    cfg.fail_before_commit = False
+    assert log.snapshot().epoch == 0
     ingest(lake, log_dir, cfg=cfg)
     assert_states_equal(replay(base, events), read_lake_table(lake))
 
@@ -146,19 +151,20 @@ def test_commit_log_carries_metrics_and_lineage(ray_session, tmp_path):
     assert touched and all("lsn_high" in p for p in touched)
 
 
-def test_salted_staged_two_stage_merge_matches(ray_session, tmp_path):
+def test_salted_staged_two_stage_merge_matches(ray_session, tmp_path,
+                                               monkeypatch):
     """salt_factor on the staged exchange: phase-1 writes per-salt
     buckets, phase-2a folds each bucket, phase-2b merges — final state
     must equal the oracle, and the stage2 reduced chunks must actually
     exist mid-flight (checked via a fail-before-commit probe)."""
     base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=4)
     # probe: run up to the commit to inspect staging layout
-    import dataclasses
-    probe = dataclasses.replace(cfg, fail_before_commit=True)
-    try:
-        ingest(lake, log_dir, cfg=probe)
-    except RuntimeError:
-        pass
+    with monkeypatch.context() as m:
+        m.setattr(CommitLog, "append", _crash_at_commit)
+        try:
+            ingest(lake, log_dir, cfg=cfg)
+        except RuntimeError:
+            pass
     staged = list((lake / "sequences" / "_staging").glob("*/part=*/stage2-*.arrow"))
     salted_chunks = list((lake / "sequences" / "_staging").glob("*/part=*/salt*-stage-*.arrow"))
     assert staged, "phase-2a reduced chunks missing"

@@ -40,7 +40,7 @@ def test_two_tables_independent_logs(ray_session, tmp_path):
     for name in specs:
         assert_states_equal(states[name], read_lake_table(tmp_path / "lake", name))
         # independent commit histories
-        assert CommitLog(tmp_path / "lake" / name).latest_epoch() == 1
+        assert CommitLog(tmp_path / "lake" / name).snapshot().epoch == 1
 
 
 def test_read_lake_column_pruning(ray_session, tmp_path):

@@ -55,11 +55,11 @@ def test_lsn_checkpoint_never_regresses_on_late_segment(
     init_lake(lake, SPEC, base=base, num_partitions=4)
     write_changelog_segments(hi, tmp_path / "log_hi", 2)
     ingest(lake, tmp_path / "log_hi", cfg=CFG)
-    ck1 = max(CommitLog(lake / "sequences").checkpoint_lsns().values())
+    ck1 = CommitLog(lake / "sequences").snapshot().lsn_high
 
     write_changelog_segments(lo, tmp_path / "log_lo", 2)
     ingest(lake, tmp_path / "log_lo", cfg=CFG)
-    ck2 = max(CommitLog(lake / "sequences").checkpoint_lsns().values())
+    ck2 = CommitLog(lake / "sequences").snapshot().lsn_high
     assert ck2 >= ck1, "late low-LSN segment regressed the checkpoint"
     # state equals replay of the full history regardless of order
     assert_states_equal(replay(base, events), read_lake_table(lake))
@@ -106,7 +106,7 @@ def test_read_lake_projects_columns_in_delta_mode(ray_session, tmp_path):
     write_changelog_segments(events, tmp_path / "log", 2)
     cfg = EngineConfig(num_partitions=4, write_mode="delta")
     ingest(lake, tmp_path / "log", cfg=cfg)
-    assert CommitLog(lake / "sequences").has_deltas()
+    assert CommitLog(lake / "sequences").snapshot().deltas_pending
 
     ds = read_lake(lake, columns=["n_tok"])
     sch = ds.schema()

@@ -126,11 +126,11 @@ def test_control_path_starts_no_dataset(ray_session, tmp_path, monkeypatch):
         (local / "manifest.json").write_text(json.dumps(manifest))
         ingest(delta, local, cfg=cfg)
     log = CommitLog(delta / "sequences")
-    assert log.has_deltas()
+    assert log.snapshot().deltas_pending
     assert_states_equal(expected, read_lake_table(delta))
 
     assert compact_deltas(delta, min_delta_ratio=0.0)["partitions_folded"] > 0
-    assert not log.has_deltas()
+    assert not log.snapshot().deltas_pending
     assert_states_equal(expected, read_lake_table(delta))
 
     compact(delta)

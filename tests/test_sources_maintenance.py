@@ -105,10 +105,10 @@ def test_validate_lake_detects_corruption(ray_session, tmp_path):
     *_, lake, cfg = _mk_lake(tmp_path)
     # corrupt: overwrite one partition file with rows from another part
     log = CommitLog(lake / "sequences")
-    files = log.current_files()
+    files = log.snapshot().files
     import shutil
 
-    shutil.copy(files[1], files[0])
+    shutil.copy(log.table_dir / files[1][0], log.table_dir / files[0][0])
     with pytest.raises(LakeValidationError):
         validate_lake(lake)
     report = validate_lake(lake, strict=False)
@@ -235,11 +235,11 @@ def test_partition_count_below_one_is_rejected(ray_session, tmp_path):
 
     base, events, log_dir, lake, cfg = _mk_lake(tmp_path)
     table_dir = lake / "sequences"
-    epoch = CommitLog(table_dir).latest_epoch()
+    epoch = CommitLog(table_dir).snapshot().epoch
     before = read_lake_table(lake)
     with pytest.raises(ValueError, match=r"num_partitions must be >= 1"):
         repartition_lake(lake, 0)
-    assert CommitLog(table_dir).latest_epoch() == epoch
+    assert CommitLog(table_dir).snapshot().epoch == epoch
     assert not list(table_dir.glob(f"part=*/*-{epoch + 1:06d}.parquet"))
     assert_states_equal(before, read_lake_table(lake))
 
@@ -360,7 +360,7 @@ def test_gc_snapshots_spares_live_writer_files(ray_session, tmp_path):
     base, events, log_dir, lake, cfg = _mk_lake(tmp_path)
     tdir = lake / "sequences"
     pdir = next(iter(sorted(tdir.glob("part=*"))))
-    newest = CommitLog(tdir).latest_epoch()
+    newest = CommitLog(tdir).snapshot().epoch
 
     # a concurrent writer's yet-uncommitted next-epoch file + fresh tmp
     future = pdir / f"epoch-{newest + 1:06d}.parquet"
