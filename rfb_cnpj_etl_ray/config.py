@@ -4,8 +4,9 @@ Analog of the reference's ``config.py`` knob sheet (batch size, per-table
 batch ratios, worker counts, queue size, retries — see SURVEY.md §2.8 and
 reference ``src/rfb_cnpj_etl/config.py:27-60``), redesigned for Ray Data:
 batch/block sizing instead of queue sizes, partition counts instead of
-thread counts, and explicit skew (salting) knobs instead of the static
-``BATCH_RATIO`` shrink factor.
+thread counts. Skew needs no knob in place of the static ``BATCH_RATIO``
+shrink factor: the staged exchange's per-batch partial reduce bounds
+every hot key to one row per batch (``stages.merge``).
 """
 
 from __future__ import annotations
@@ -38,16 +39,6 @@ class EngineConfig:
     #: amplification per epoch — the steady-state CDC configuration.
     write_mode: str = "cow"
 
-    # --- skew handling ----------------------------------------------------
-    #: two-stage salted merge in the staged exchange: phase 1 writes
-    #: per-(partition, doc-hash-salt) chunk buckets, phase 2a folds each
-    #: bucket in parallel, phase 2 merges (a pathologically hot
-    #: partition's fold spreads over salt_factor tasks). 1 = disabled.
-    #: Only useful when a single partition's event group exceeds a
-    #: worker; the per-batch partial LWW reduce already collapses hot
-    #: KEYS to ≤1 row per block.
-    salt_factor: int = 1
-
     # --- sink -------------------------------------------------------------
     #: parquet compression for partition snapshot and delta files.
     compression: str = "zstd"
@@ -65,8 +56,6 @@ class EngineConfig:
         if self.write_mode not in ("cow", "delta"):
             raise ValueError("write_mode must be 'cow' or 'delta'")
         check_num_partitions(self.num_partitions)
-        if self.salt_factor < 1:
-            raise ValueError("salt_factor must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -32,22 +32,6 @@ def partition_ids(doc_ids, num_partitions: int) -> np.ndarray:
     return (hash_strings(doc_ids) % np.uint64(num_partitions)).astype(np.int32)
 
 
-def doc_salt_ids(doc_ids, salt_factor: int) -> np.ndarray:
-    """Key-based salt in [0, salt_factor), independent of the partition
-    hash (splitmix64 finalizer over the SipHash) — every doc_id lands in
-    exactly ONE salt bucket of its partition, so per-bucket folds are
-    complete per key and the final per-partition fold only merges against
-    the base snapshot. Used by the staged exchange's two-stage merge."""
-    if salt_factor <= 1:
-        return np.zeros(len(doc_ids), dtype=np.int32)
-    with np.errstate(over="ignore"):
-        z = hash_strings(doc_ids) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return (z % np.uint64(salt_factor)).astype(np.int32)
-
-
 #: SQL-reproducible token-array digest parameters (shared with the
 #: DuckDB twin in __ray_entry__.cdc_final_state_sql)
 TOK_HASH_BASE = 1_000_003
@@ -96,16 +80,3 @@ def token_poly_hashes(tokens: "pa.ChunkedArray | pa.Array",
     out[nonempty] = np.add.reduceat(terms, offsets[nonempty]) % prime
     return out
 
-
-def salt_ids(lsns: np.ndarray, salt_factor: int) -> np.ndarray:
-    """Secondary salt in [0, salt_factor) for two-stage hot-key merges.
-
-    Derived from the event's ``lsn`` — NOT the key — so the many events of
-    one hot ``doc_id`` spread across ``salt_factor`` sub-groups; stage 1
-    reduces per (partition, salt, doc_id) (LWW is associative), stage 2
-    re-merges the ≤ salt_factor survivors per (partition, doc_id).
-    Reference skew analog: static BATCH_RATIO shrink, config.py:32-34.
-    """
-    if salt_factor <= 1:
-        return np.zeros(len(lsns), dtype=np.int32)
-    return (np.asarray(lsns, dtype=np.int64) % salt_factor).astype(np.int32)

@@ -11,12 +11,11 @@ incremental, exactly-once, resumable replay:
     read_parquet(segments)       (streaming, schema-unified at read)
     staged_exchange:             (stages/merge.py — the one exchange)
       phase 1 map_batches        (routing + partial LWW reduce → staged chunks)
-      [phase 2a per salt bucket] (optional hot-partition stage, plain tasks)
       phase 2 per partition      (plain tasks: fold with committed state → snapshot)
     commit-log append            (single atomic synchronization point)
 
 Only phase 1 is a Dataset (the one streaming pass over events of any
-volume); phases 2a and 2 are one plain Ray task per bucket or partition
+volume); phase 2 is one plain Ray task per partition
 (``stages.exchange.run_tasks``). Never materializes the event stream on
 the driver: the only driver-side collects are the tiny per-task stage
 stats and the per-partition manifest rows (≤ num_partitions).

@@ -3,30 +3,28 @@
 Semantics (must match ``oracle.replay``): the final state of a key is
 decided solely by its highest-LSN event — I/U upsert the full payload, D
 deletes. Because that fold is associative and commutative (max-by-lsn),
-it can run in three shrinking stages without ever seeing a key's full
+it can run in two shrinking stages without ever seeing a key's full
 history in one place:
 
   1. **phase 1: route + per-batch partial reduce** (stateless
      ``map_batches``, zero-copy Arrow): collapse each block to one row
      per ``doc_id`` and append each partition's slice to the staging dir
-     as an Arrow chunk — this is what tames hot keys (a doc_id with 1M
-     events leaves each block as 1 row) *before* the exchange, the
-     combiner the reference lacks (its skew "solution" is a static
+     as an Arrow chunk. This is the skew handling: each batch acts as
+     the salt of a two-stage aggregation, so a doc_id with 1M events
+     leaves each block as 1 row *before* the exchange, and phase 2
+     re-merges those rows (the reference's skew "solution" is a static
      batch-shrink ratio, config.py:32-34);
-  2. optional **salted phase 2a** for pathologically hot partitions
-     (a doc_id-hash salt spreads ONE partition's fold over
-     ``salt_factor`` tasks);
-  3. **phase 2: per-partition merge** (one task per touched partition):
+  2. **phase 2: per-partition merge** (one task per touched partition):
      concat the partition's committed state — whose rows carry their
      last-applied ``_lsn`` and ``_deleted`` tombstone flag, making them
      replay-equivalent pseudo-events — with the staged chunks, reduce
      again, write the next snapshot atomically.
 
-``staged_exchange`` drives the three phases; it is the only way the
+``staged_exchange`` drives the two phases; it is the only way the
 engine rewrites partitions from a Dataset (ingest, lake init,
 repartition), and ``write_partition_snapshot`` writes every partition
-file. Phase 1 is the one Dataset; phases 2a and 2 are one plain Ray
-task per bucket or partition (``stages.exchange.run_tasks``).
+file. Phase 1 is the one Dataset; phase 2 is one plain Ray task per
+partition (``stages.exchange.run_tasks``).
 
 Keeping ``_lsn``/``_deleted`` in the materialized state means applying
 *any* subset of old events again (duplicated batches, crash-replay,
@@ -59,7 +57,6 @@ from rfb_cnpj_etl_ray.state.commitlog import atomic_write_table
 INTERNAL_LSN = "_lsn"
 INTERNAL_DELETED = "_deleted"
 PART_COL = "__part"
-SALT_COL = "__salt"
 
 _WORKER_THREADS_SET = False
 
@@ -93,7 +90,7 @@ def strip_internal(table: pa.Table, drop_tombstones: bool = True) -> pa.Table:
     if drop_tombstones and INTERNAL_DELETED in table.schema.names:
         table = table.filter(pc.equal(table[INTERNAL_DELETED], False))
     keep = [n for n in table.schema.names
-            if n not in (INTERNAL_LSN, INTERNAL_DELETED, PART_COL, SALT_COL)]
+            if n not in (INTERNAL_LSN, INTERNAL_DELETED, PART_COL)]
     return table.select(keep)
 
 
@@ -167,32 +164,24 @@ def make_stage_partitioner(
     prep: str = "events",
     min_lsn_exclusive: int | None = None,
     worker_threads: int = 1,
-    salt_factor: int = 1,
     progress_counter=None,
 ):
     """Build the phase-1 map_batches closure (plain function → elastic
     task pool, no actor startup cost): ``_internal_rows`` per batch
-    (``prep`` names the input kind), routed to its hash partition.
+    (``prep`` names the input kind), routed to its hash partition and
+    staged as ``part=KKKK/stage-*.arrow``.
 
     For events, one combined sort by (partition, doc_id, lsn) yields both
     the partial-reduce run boundaries and contiguous partition slices — a
-    single payload gather per batch. Staged chunks are UNCOMPRESSED Arrow
-    IPC files: transient shuffle data, written at memory-bandwidth and
-    mmap'd zero-copy by phase 2 (the lake snapshots stay zstd Parquet).
-
-    ``salt_factor > 1`` (events prep only): every partition slice is
-    further split into key-hash salt buckets (``doc_salt_ids`` — each
-    doc_id wholly in one bucket) and staged as
-    ``salt{S}-stage-*.arrow``; phase 2 then runs as a TWO-stage fold
-    (``make_salt_reducer`` per bucket in parallel, then the partition
-    merger over the reduced buckets) so one pathologically hot
-    partition's fold work spreads over ``salt_factor`` tasks."""
+    single payload gather per batch. The partial reduce bounds skew: a
+    staged chunk holds each doc_id at most once, so a hot key costs
+    phase 2 one row per batch, not one row per event. Staged chunks are
+    UNCOMPRESSED Arrow IPC files: transient shuffle data, written at
+    memory-bandwidth and mmap'd zero-copy by phase 2 (the lake snapshots
+    stay zstd Parquet)."""
     import uuid as _uuid
 
-    from rfb_cnpj_etl_ray.hashing import doc_salt_ids
-
     events = prep == "events"
-    salted = salt_factor > 1 and events
 
     def stage(batch: pa.Table) -> pa.Table:
         tune_worker_threads(worker_threads)
@@ -225,48 +214,28 @@ def make_stage_partitioner(
             pa.array(partition_ids(routed.column("doc_id"), num_partitions),
                      type=pa.int32()),
         )
-        if salted:
-            routed = routed.append_column(
-                SALT_COL,
-                pa.array(doc_salt_ids(routed.column("doc_id"), salt_factor),
-                         type=pa.int32()),
-            )
-        sort_prefix = [(PART_COL, "ascending")] + (
-            [(SALT_COL, "ascending")] if salted else []
-        )
         if events:
             srt = _last_per_key(routed.sort_by(
-                sort_prefix + [("doc_id", "ascending"),
-                               (INTERNAL_LSN, "ascending")]
+                [(PART_COL, "ascending"), ("doc_id", "ascending"),
+                 (INTERNAL_LSN, "ascending")]
             ), "doc_id")
         else:
             # no reduce → only partition-contiguity is needed: a single
             # int32-key sort, far cheaper than the 3-key string sort
-            srt = routed.sort_by(sort_prefix)
+            srt = routed.sort_by([(PART_COL, "ascending")])
         parts = srt.column(PART_COL).to_numpy()
-        if salted:
-            salts = srt.column(SALT_COL).to_numpy()
-            composite = parts.astype(np.int64) * salt_factor + salts
-            drop_cols = [PART_COL, SALT_COL]
-        else:
-            salts = None
-            composite = parts
-            drop_cols = [PART_COL]
-        bounds = np.flatnonzero(np.diff(composite)) + 1
+        bounds = np.flatnonzero(np.diff(parts)) + 1
         starts = np.concatenate([[0], bounds])
         ends = np.concatenate([bounds, [len(parts)]])
         rows = []
-        body = srt.drop_columns(drop_cols)
+        body = srt.drop_columns([PART_COL])
         uid = _uuid.uuid4().hex
         for s, e in zip(starts, ends):
             p = int(parts[s])
             chunk = body.slice(int(s), int(e - s))
             pdir = Path(staging_dir) / f"part={p:04d}"
             pdir.mkdir(parents=True, exist_ok=True)
-            if salted:
-                name = pdir / f"salt{int(salts[s]):03d}-stage-{uid}-{s}.arrow"
-            else:
-                name = pdir / f"stage-{uid}-{s}.arrow"
+            name = pdir / f"stage-{uid}-{s}.arrow"
             with pa.OSFile(str(name), "wb") as f:
                 with pa.ipc.new_file(f, chunk.schema) as w:
                     w.write_table(chunk)
@@ -303,34 +272,6 @@ def load_partition_state(
     return lww_reduce(pa.concat_tables(tables))
 
 
-def make_salt_reducer(staging_dir: str, worker_threads: int = 1):
-    """Phase-2a of the salted staged merge: ``reduce_bucket({"part": k,
-    "salt": s})`` folds that bucket's staged chunks to one reduced chunk
-    (``stage2-{salt}.arrow``, atomic rename — a retried task recomputes
-    identical content); an empty bucket writes nothing. Because the salt
-    is a doc_id hash, the fold is COMPLETE per key; phase 2b only merges
-    buckets against the base."""
-    import os as _os
-    import uuid as _uuid
-
-    def reduce_bucket(item: dict) -> None:
-        tune_worker_threads(worker_threads)
-        part, salt = item["part"], item["salt"]
-        pdir = Path(staging_dir) / f"part={part:04d}"
-        chunks = sorted(pdir.glob(f"salt{salt:03d}-stage-*.arrow"))
-        if not chunks:
-            return
-        folded = lww_reduce(pa.concat_tables([_read_chunk(p) for p in chunks]))
-        final = pdir / f"stage2-{salt:03d}.arrow"
-        tmp = pdir / f"stage2-{salt:03d}.tmp-{_uuid.uuid4().hex[:8]}"
-        with pa.OSFile(str(tmp), "wb") as f:
-            with pa.ipc.new_file(f, folded.schema) as w:
-                w.write_table(folded)
-        _os.replace(tmp, final)
-
-    return reduce_bucket
-
-
 def make_partition_fold(
     table_dir: str,
     staging_dir: str,
@@ -341,7 +282,6 @@ def make_partition_fold(
     row_group_size: int = 64 * 1024,
     write_mode: str = "cow",
     worker_threads: int = 1,
-    chunk_glob: str = "stage-*.arrow",
 ):
     """Build the phase-2 task body: ``fold({"part": k})`` merges one
     partition and returns its manifest row (None when nothing is staged
@@ -362,7 +302,7 @@ def make_partition_fold(
         part = item["part"]
         pdir = Path(staging_dir) / f"part={part:04d}"
         pieces = [conform_table(_read_chunk(p), int_sch)
-                  for p in sorted(pdir.glob(chunk_glob))]
+                  for p in sorted(pdir.glob("stage-*.arrow"))]
         if not pieces:
             return None
         events = lww_reduce(pa.concat_tables(pieces))
@@ -455,7 +395,7 @@ class ExchangeResult(NamedTuple):
     rows: list[dict]
     #: events dropped at or below the compaction watermark
     dropped_late: int
-    #: seconds per phase: setup, stage (phase 1), merge (phases 2a + 2)
+    #: seconds per phase: setup, stage (phase 1), merge (phase 2)
     phase_seconds: dict[str, float]
 
 
@@ -478,15 +418,15 @@ def staged_exchange(
     way the engine moves rows into partition files (ingest, lake init,
     repartition). In order: clear the epoch's staging dir (crash
     leftovers), run phase 1 over ``ds`` (``take_all`` is the barrier),
-    the salted phase 2a when ``cfg.salt_factor > 1`` on events, then
-    phase 2 over the touched partitions; yield an ``ExchangeResult``.
+    then phase 2 over the touched partitions; yield an
+    ``ExchangeResult``.
 
     The caller commits inside the ``with`` block. The staging dir is
     removed when the block exits normally and kept when it raises (a
     crash before the commit leaves it for inspection; the next attempt
-    at the same epoch clears it first). ``cfg`` supplies batch size,
-    salt factor and the parquet settings; ``t0`` backdates the setup
-    phase to the caller's start."""
+    at the same epoch clears it first). ``cfg`` supplies batch size and
+    the parquet settings; ``t0`` backdates the setup phase to the
+    caller's start."""
     import shutil
 
     from rfb_cnpj_etl_ray.stages.exchange import run_tasks
@@ -496,11 +436,10 @@ def staged_exchange(
     shutil.rmtree(staging, ignore_errors=True)
     task_cpus = _staged_task_cpus()
     threads = int(task_cpus)
-    salt_factor = cfg.salt_factor if prep == "events" else 1
     stage_fn = make_stage_partitioner(
         payload_schema, num_partitions, str(staging), prep=prep,
         min_lsn_exclusive=min_lsn_exclusive, worker_threads=threads,
-        salt_factor=salt_factor, progress_counter=progress_counter,
+        progress_counter=progress_counter,
     )
     t_stage = time.perf_counter()
     stats = ds.map_batches(
@@ -510,23 +449,13 @@ def staged_exchange(
     t_merge = time.perf_counter()
     dropped_late = sum(r["rows"] for r in stats if r["part"] < 0)
     touched = sorted({int(r["part"]) for r in stats if r["part"] >= 0})
-    chunk_glob = "stage-*.arrow"
-    if salt_factor > 1:
-        # phase 2a: fold each (part, salt) bucket in parallel — a hot
-        # partition's fold spreads over salt_factor tasks; the salt is a
-        # doc_id hash, so each bucket's fold is complete per key.
-        run_tasks(make_salt_reducer(str(staging), worker_threads=threads),
-                  [{"part": p, "salt": s}
-                   for p in touched for s in range(salt_factor)],
-                  num_cpus=task_cpus)
-        chunk_glob = "stage2-*.arrow"
     # phase 2: every touched partition has staged chunks, so every task
     # returns a manifest row
     rows = run_tasks(make_partition_fold(
         str(table_dir), str(staging), epoch, part_files or {},
         schema_to_jsonable(payload_schema),
         compression=cfg.compression, row_group_size=cfg.row_group_size,
-        write_mode=write_mode, worker_threads=threads, chunk_glob=chunk_glob,
+        write_mode=write_mode, worker_threads=threads,
     ), [{"part": p} for p in touched], num_cpus=task_cpus)
     t_end = time.perf_counter()
     yield ExchangeResult(rows, dropped_late, {

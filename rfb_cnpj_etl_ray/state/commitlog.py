@@ -149,7 +149,7 @@ def next_partitions(prev: dict | None, rows: list[dict],
       stacked on the partition's current files;
     * ``"fold"`` — each row re-writes the partition's committed state and
       applies no event (init, repartition, compaction), so
-      ``events_applied`` carries over.
+      ``events_applied`` is 0.
 
     The checkpoint ``lsn_high`` never regresses, and epoch 0 has none."""
     partitions = dict(prev or {})
@@ -165,8 +165,7 @@ def next_partitions(prev: dict | None, rows: list[dict],
         entry = {k: row[k] for k in ("file", "rows", "live_rows", "bytes",
                                      "doc_id_min", "doc_id_max")}
         entry["lsn_high"] = lsn_high
-        entry["events_applied"] = (old.get("events_applied", 0)
-                                   if mode == "fold" else row["events_applied"])
+        entry["events_applied"] = 0 if mode == "fold" else row["events_applied"]
         if mode == "delta":
             # merge-on-read: keep the base snapshot, append the delta;
             # physical rows accumulate, the live count is unknown until

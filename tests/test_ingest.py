@@ -151,55 +151,6 @@ def test_commit_log_carries_metrics_and_lineage(ray_session, tmp_path):
     assert touched and all("lsn_high" in p for p in touched)
 
 
-def test_salted_staged_two_stage_merge_matches(ray_session, tmp_path,
-                                               monkeypatch):
-    """salt_factor on the staged exchange: phase-1 writes per-salt
-    buckets, phase-2a folds each bucket, phase-2b merges — final state
-    must equal the oracle, and the stage2 reduced chunks must actually
-    exist mid-flight (checked via a fail-before-commit probe)."""
-    base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=4)
-    # probe: run up to the commit to inspect staging layout
-    with monkeypatch.context() as m:
-        m.setattr(CommitLog, "append", _crash_at_commit)
-        try:
-            ingest(lake, log_dir, cfg=cfg)
-        except RuntimeError:
-            pass
-    staged = list((lake / "sequences" / "_staging").glob("*/part=*/stage2-*.arrow"))
-    salted_chunks = list((lake / "sequences" / "_staging").glob("*/part=*/salt*-stage-*.arrow"))
-    assert staged, "phase-2a reduced chunks missing"
-    assert salted_chunks, "per-salt staged chunks missing"
-    # real run (resumes from scratch staging) must match the oracle
-    ingest(lake, log_dir, cfg=cfg)
-    assert_states_equal(replay(base, events), read_lake_table(lake))
-
-
-def test_salted_staged_delta_mode_matches(ray_session, tmp_path):
-    base, events, log_dir, lake, cfg = _setup(tmp_path, salt_factor=3,
-                                              write_mode="delta")
-    ingest(lake, log_dir, cfg=cfg)
-    assert_states_equal(replay(base, events), read_lake_table(lake))
-
-
-def test_doc_salt_ids_partition_independent():
-    """The doc-hash salt must decorrelate from the partition hash: within
-    one partition, keys spread over all salt buckets."""
-    import numpy as np
-
-    from rfb_cnpj_etl_ray.hashing import doc_salt_ids, partition_ids
-
-    ids = [f"doc{i:08d}" for i in range(20000)]
-    parts = partition_ids(ids, 8)
-    salts = doc_salt_ids(ids, 4)
-    assert set(salts.tolist()) == {0, 1, 2, 3}
-    # per-partition salt distribution is non-degenerate
-    for p in range(8):
-        seen = set(salts[parts == p].tolist())
-        assert seen == {0, 1, 2, 3}
-    # deterministic
-    assert (doc_salt_ids(ids, 4) == salts).all()
-
-
 def test_progress_reporter_lines(ray_session, tmp_path, capfd):
     """cfg.progress=True renders live percent/rate lines and a final
     summary without touching the result."""

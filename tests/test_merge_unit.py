@@ -1,7 +1,8 @@
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rfb_cnpj_etl_ray.hashing import doc_salt_ids, partition_ids
+from rfb_cnpj_etl_ray.hashing import partition_ids
 from rfb_cnpj_etl_ray.spec import CHANGE_SCHEMA, PAYLOAD_SCHEMA
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
@@ -91,25 +92,28 @@ def test_to_internal_routing_and_reduce(tmp_path):
     assert sum(stats["rows"].to_pylist()) == len(last)
 
 
-def test_to_internal_salt(tmp_path):
-    """salt_factor > 1 splits every partition into doc-hash salt buckets:
-    each ``salt{S}-stage-*`` chunk holds unique doc_ids of partition K
-    and salt S only."""
-    ev = make_changelog(1000, 50, seed=4)
+def test_phase1_partial_reduce_bounds_partition_skew(tmp_path):
+    """Phase 1's per-batch partial reduce is the exchange's skew
+    handling: on a zipf-2.0 log one hot key skews the raw rows per
+    partition, but each batch stages a hot key as one row, so the staged
+    rows per partition are near-balanced and phase 2 re-merges them."""
+    n_parts, n_batches = 16, 40
+    ev = make_changelog(200_000, 20_000, seed=11, zipf_a=2.0,
+                        min_len=1, max_len=4)
     staging = tmp_path / "staging"
-    make_stage_partitioner(PAYLOAD_SCHEMA, 4, str(staging), salt_factor=3)(ev)
-    assert not _staged_chunks(staging, "stage-*.arrow")
-    chunks = _staged_chunks(staging, "salt*-stage-*.arrow")
-    salts = set()
-    for (part, name), t in chunks.items():
-        salt = int(name[len("salt"):len("salt") + 3])
-        assert "__salt" not in t.schema.names
-        ids = t["doc_id"].to_pylist()
-        assert len(ids) == len(set(ids))
-        assert (partition_ids(t["doc_id"], 4) == part).all()
-        assert (doc_salt_ids(t["doc_id"], 3) == salt).all()
-        salts.add(salt)
-    assert salts == {0, 1, 2}
+    stage = make_stage_partitioner(PAYLOAD_SCHEMA, n_parts, str(staging))
+    step = -(-ev.num_rows // n_batches)
+    for off in range(0, ev.num_rows, step):
+        stage(ev.slice(off, step))
+    raw = np.bincount(partition_ids(ev["doc_id"], n_parts),
+                      minlength=n_parts)
+    staged = np.zeros(n_parts, np.int64)
+    for (part, _), t in _staged_chunks(staging, "stage-*.arrow").items():
+        ids = t["doc_id"]
+        assert pc.count_distinct(ids).as_py() == len(ids)
+        staged[part] += len(ids)
+    assert raw.max() / raw.mean() >= 5
+    assert staged.max() / staged.mean() <= 1.5
 
 
 def test_strip_internal_drops_tombstones():

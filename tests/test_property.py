@@ -16,23 +16,27 @@ from rfb_cnpj_etl_ray.synth import make_base, make_changelog, write_changelog_se
 SPEC = TableSpec(name="sequences", schema=PAYLOAD_SCHEMA)
 
 SCENARIOS = [
-    # (seed, n_docs, n_events, op_mix, zipf_a, n_segments, epochs)
-    (101, 50, 500, (0.6, 0.3, 0.1), 1.1, 3, 1),
-    (202, 10, 2000, (0.2, 0.5, 0.3), 1.05, 5, 2),   # heavy U/D, tiny keyspace
-    (303, 500, 1000, (0.9, 0.05, 0.05), 2.0, 2, 1),  # insert-heavy, hot keys
-    (404, 100, 1500, (0.1, 0.1, 0.8), 1.2, 4, 3),    # delete-storm
-    (505, 1, 800, (0.4, 0.4, 0.2), 1.1, 3, 1),       # single-key pathological
+    # (seed, n_docs, n_events, op_mix, zipf_a, n_segments, epochs, write_mode)
+    (101, 50, 500, (0.6, 0.3, 0.1), 1.1, 3, 1, "cow"),
+    (202, 10, 2000, (0.2, 0.5, 0.3), 1.05, 5, 2, "cow"),   # heavy U/D, tiny keyspace
+    (303, 500, 1000, (0.9, 0.05, 0.05), 2.0, 2, 1, "cow"),  # insert-heavy, hot keys
+    (404, 100, 1500, (0.1, 0.1, 0.8), 1.2, 4, 3, "cow"),    # delete-storm
+    (505, 1, 800, (0.4, 0.4, 0.2), 1.1, 3, 1, "cow"),       # single-key pathological
+    # hot single keys + delete-heavy mix, in both write modes
+    (611, 30, 1200, (0.3, 0.4, 0.3), 1.05, 3, 1, "cow"),
+    (622, 30, 1200, (0.3, 0.4, 0.3), 1.05, 3, 1, "delta"),
+    (633, 30, 1200, (0.3, 0.4, 0.3), 1.05, 3, 1, "cow"),
 ]
 
 
 @pytest.mark.parametrize(
-    "seed,n_docs,n_events,op_mix,zipf_a,n_segments,epochs",
+    "seed,n_docs,n_events,op_mix,zipf_a,n_segments,epochs,write_mode",
     SCENARIOS,
     ids=[str(s[0]) for s in SCENARIOS],
 )
 def test_random_stream_matches_oracle(
     ray_session, tmp_path, seed, n_docs, n_events, op_mix, zipf_a,
-    n_segments, epochs,
+    n_segments, epochs, write_mode,
 ):
     base = make_base(n_docs, seed=seed, max_len=24)
     events = make_changelog(
@@ -43,7 +47,7 @@ def test_random_stream_matches_oracle(
     manifest = write_changelog_segments(events, log_dir, n_segments,
                                         shuffle_seed=seed + 2)
     lake = tmp_path / "lake"
-    cfg = EngineConfig(num_partitions=4)
+    cfg = EngineConfig(num_partitions=4, write_mode=write_mode)
     init_lake(lake, SPEC, base=base, num_partitions=4)
 
     full = manifest["segments"]
@@ -99,28 +103,3 @@ def test_cli_new_commands(ray_session, tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert json.loads(out[-1])["partitions"] >= 1
     assert (tmp_path / "out" / "_manifest.json").exists()
-
-
-@pytest.mark.parametrize("seed,salt,mode", [
-    (611, 4, "cow"),
-    (622, 3, "delta"),
-    (633, 8, "cow"),   # salt > docs-per-partition edge
-])
-def test_random_stream_salted_staged_matches_oracle(
-    ray_session, tmp_path, seed, salt, mode,
-):
-    """The salted two-stage staged merge under randomized streams (hot
-    single-key + delete-heavy mixes) must equal the oracle exactly."""
-    n_docs, n_events = 30, 1200
-    base = make_base(n_docs, seed=seed, max_len=24)
-    events = make_changelog(
-        n_events, n_docs, seed=seed + 1, op_mix=(0.3, 0.4, 0.3),
-        zipf_a=1.05, max_len=24,
-    )
-    log_dir = tmp_path / "log"
-    write_changelog_segments(events, log_dir, 3, shuffle_seed=seed + 2)
-    lake = tmp_path / "lake"
-    cfg = EngineConfig(num_partitions=4, salt_factor=salt, write_mode=mode)
-    init_lake(lake, SPEC, base=base, num_partitions=4)
-    ingest(lake, log_dir, cfg=cfg)
-    assert_states_equal(replay(base, events), read_lake_table(lake))

@@ -90,7 +90,7 @@ def test_max_in_flight_one_runs_tasks_one_at_a_time(ray_session, tmp_path):
 
 
 def test_control_path_starts_no_dataset(ray_session, tmp_path, monkeypatch):
-    """Fetch, cow and salted delta ingest, compact_deltas, compact,
+    """Fetch, cow ingest, two delta ingests, compact_deltas, compact,
     validate_lake and export_lake all run with ``ray.data.from_items``
     raising on the driver — their per-item work is plain tasks — and
     every lake they leave matches the oracle."""
@@ -120,7 +120,7 @@ def test_control_path_starts_no_dataset(ray_session, tmp_path, monkeypatch):
     # two delta epochs, so compact_deltas has stacked deltas to fold
     manifest = json.loads((local / "manifest.json").read_text())
     segments = manifest["segments"]
-    cfg = EngineConfig(num_partitions=4, write_mode="delta", salt_factor=2)
+    cfg = EngineConfig(num_partitions=4, write_mode="delta")
     for upto in (2, 4):
         manifest["segments"] = segments[:upto]
         (local / "manifest.json").write_text(json.dumps(manifest))

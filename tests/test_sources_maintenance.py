@@ -365,10 +365,10 @@ def test_gc_snapshots_spares_live_writer_files(ray_session, tmp_path):
     # a concurrent writer's yet-uncommitted next-epoch file + fresh tmp
     future = pdir / f"epoch-{newest + 1:06d}.parquet"
     future.write_bytes(b"in-flight epoch snapshot")
-    fresh_tmp = pdir / "stage2-000.tmp-abcd1234"
+    fresh_tmp = pdir / f"epoch-{newest + 1:06d}.parquet.tmp-abcd1234"
     fresh_tmp.write_bytes(b"fresh tmp")
     # crashed-writer debris: a tmp file far older than the grace window
-    old_tmp = pdir / "stage2-001.tmp-deadbeef"
+    old_tmp = pdir / f"epoch-{newest + 1:06d}.parquet.tmp-deadbeef"
     old_tmp.write_bytes(b"old tmp")
     old = _time.time() - 7200
     os.utime(old_tmp, (old, old))
@@ -398,3 +398,32 @@ def test_partition_lineage_walks_commit_chain(ray_session, tmp_path):
     # single-partition filter returns just that chain
     only = partition_lineage(lake, part=2)
     assert list(only["partitions"]) == ["2"]
+
+
+def test_partition_lineage_fold_commits_apply_no_event(ray_session, tmp_path):
+    """A ``compact_deltas`` commit re-writes partitions without applying
+    any event: its lineage entries report ``events_applied == 0``, while
+    the delta ingest before it reports the events it applied."""
+    from rfb_cnpj_etl_ray.pipelines.maintenance import (
+        compact_deltas,
+        partition_lineage,
+    )
+
+    base = make_base(200, seed=5, max_len=32)
+    events = make_changelog(1000, 200, seed=6, max_len=32)
+    log_dir = tmp_path / "log"
+    write_changelog_segments(events, log_dir, 4)
+    lake = tmp_path / "lake"
+    init_lake(lake, SPEC, base=base, num_partitions=4)
+    ingest(lake, log_dir, cfg=EngineConfig(num_partitions=4,
+                                           write_mode="delta"))
+    assert compact_deltas(lake, min_delta_ratio=0.0)["partitions_folded"] > 0
+    lin = partition_lineage(lake)
+    assert lin["head_epoch"] == 2
+    at_ingest = [e for chain in lin["partitions"].values() for e in chain
+                 if e["epoch"] == 1]
+    at_fold = [e for chain in lin["partitions"].values() for e in chain
+               if e["epoch"] == 2]
+    assert at_ingest and all(e["events_applied"] > 0 for e in at_ingest)
+    assert at_fold and all(e["events_applied"] == 0 for e in at_fold)
+    assert_states_equal(replay(base, events), read_lake_table(lake))
