@@ -55,11 +55,11 @@ def test_lww_reduce_empty_and_single():
     assert lww_reduce(one).num_rows == 1
 
 
-def _staged_chunks(staging, pattern):
+def _staged_chunks(staging):
     """{(part, chunk name): table} for the staged Arrow chunks phase 1
     wrote under ``staging``."""
     out = {}
-    for path in sorted(staging.glob(f"part=*/{pattern}")):
+    for path in sorted(staging.glob("part=*/stage-*.arrow")):
         with pa.memory_map(str(path), "r") as src:
             table = pa.ipc.open_file(src).read_all()
         out[(int(path.parent.name.split("=")[1]), path.name)] = table
@@ -73,7 +73,7 @@ def test_to_internal_routing_and_reduce(tmp_path):
     ev = make_changelog(2000, 100, seed=3)
     staging = tmp_path / "staging"
     stats = make_stage_partitioner(PAYLOAD_SCHEMA, 8, str(staging))(ev)
-    chunks = _staged_chunks(staging, "stage-*.arrow")
+    chunks = _staged_chunks(staging)
     assert chunks
     last = {}
     for d, lsn, op in zip(ev["doc_id"].to_pylist(), ev["lsn"].to_pylist(),
@@ -108,7 +108,7 @@ def test_phase1_partial_reduce_bounds_partition_skew(tmp_path):
     raw = np.bincount(partition_ids(ev["doc_id"], n_parts),
                       minlength=n_parts)
     staged = np.zeros(n_parts, np.int64)
-    for (part, _), t in _staged_chunks(staging, "stage-*.arrow").items():
+    for (part, _), t in _staged_chunks(staging).items():
         ids = t["doc_id"]
         assert pc.count_distinct(ids).as_py() == len(ids)
         staged[part] += len(ids)
