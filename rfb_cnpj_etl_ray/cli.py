@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "complete":
             from pathlib import Path
 
-            from rfb_cnpj_etl_ray.cnpj import CNPJ_REGISTRY, load_cnpj_files
+            from rfb_cnpj_etl_ray.cnpj import load_cnpj_files
             from rfb_cnpj_etl_ray.config import EngineConfig
             from rfb_cnpj_etl_ray.pipelines.maintenance import validate_lake
             from rfb_cnpj_etl_ray.sources.fetcher import (

@@ -325,8 +325,6 @@ def synth_cnpj_fixture(sf_dir: str, out_dir) -> list[str]:
     zip), derived deterministically from supplier / customer / nation so
     the lake contents are SQL-reproducible. Fixture generator — driver
     side on purpose (bounded by the dimension-scale source tables)."""
-    import io
-    import zipfile
     from pathlib import Path
 
     import pandas as pd
@@ -614,8 +612,6 @@ def synth_cnpj_fixture_full(sf_dir: str, out_dir) -> list[str]:
     dates through M4, all three NULL sentinels exercised), Socios (←
     customer: composite doc_id key) and the five remaining dimension
     archives (← part/region/nation)."""
-    import io
-    import zipfile
     from pathlib import Path
 
     import pandas as pd

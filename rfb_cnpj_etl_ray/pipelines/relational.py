@@ -13,8 +13,10 @@ Patterns used deliberately (SURVEY.md §1.2, §4):
   dimension tables, db_patch.py:23-57);
 * large-large joins use ``stages.joins.keyed_join`` (one keyed sort
   exchange, then one Arrow join per block);
-* aggregations pre-reduce inside ``map_batches``; low-cardinality
-  partials fold through ``stages.exchange.tree_fold``;
+* aggregations pre-reduce inside ``map_batches``, then fold once:
+  low-cardinality partials through ``stages.exchange.tree_fold``,
+  high-cardinality ones through ``stages.exchange.aggregate_by`` (one
+  keyed exchange, one Arrow ``group_by`` per block);
 * everything runs on Ray tasks: no operator here starts an actor;
 * all hot-path transforms are vectorized Arrow/pandas — no per-row Python.
 
@@ -34,7 +36,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from rfb_cnpj_etl_ray.stages.exchange import fetch, sum_by, tree_fold
+from rfb_cnpj_etl_ray.stages.exchange import (
+    aggregate_by,
+    fetch,
+    sum_by,
+    tree_fold,
+)
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -305,9 +312,10 @@ WHERE NOT EXISTS (SELECT 1 FROM nation WHERE n_nationkey = v.k)
 # ---------------------------------------------------------------------------
 
 def pricing_summary(sf_dir: str):
-    """Flagship grouped aggregate: pre-aggregate inside map_batches (the
-    combiner the groupby shuffle then only sees ~|keys| rows per block of)
-    then a tiny final groupby — the scale pattern for low-cardinality keys.
+    """Flagship grouped aggregate: pre-aggregate inside map_batches to
+    ~|keys| rows per block, then ``tree_fold`` the partials to one block
+    — the scale pattern for low-cardinality keys (4–6 flag/status
+    groups).
     """
     ds = _read(
         sf_dir,
@@ -333,15 +341,10 @@ def pricing_summary(sf_dir: str):
             ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
              "sum_disc_price", "count_order"])
 
-    from ray.data.aggregate import Sum
-
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price", alias_name="sum_base_price"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("count_order", alias_name="count_order"),
-    )
+    out = tree_fold(partials, sum_by(
+        ["l_returnflag", "l_linestatus"],
+        ["sum_qty", "sum_base_price", "sum_disc_price", "count_order"]))
 
     def finalize(batch: pa.Table) -> pa.Table:
         # half_towards_infinity: integer-ratio averages land on exact
@@ -435,9 +438,8 @@ def revenue_by_nation(sf_dir: str):
     # join 2 is customer-cardinality on both sides
     withn = keyed_join(per_cust, customer_n, "o_custkey", "c_custkey",
                        "inner")
-    from ray.data.aggregate import Sum
-
-    out = withn.groupby("n_name").aggregate(Sum("revenue", alias_name="revenue"))
+    # 25 nations: the per-nation sum is a low-cardinality fold
+    out = tree_fold(withn, sum_by(["n_name"], "revenue"))
     return out.map_batches(
         lambda t: pa.table(
             {"n_name": t.column("n_name"),
@@ -524,13 +526,15 @@ _HOURLY_PARTIAL_SCHEMA = pa.schema([
 ])
 
 
+#: the hourly view's fold: counts and cent sums add across partials
+_HOURLY_SUMS = {"n_events": "sum", "sum_cents": "sum"}
+
+
 def _hourly_partial(batch: pa.Table) -> pa.Table:
     """Per-block partial of the hourly view: floor ts → hour, exact
-    integer-cent sums, one vectorized groupby. Emits timestamp[us] so
+    integer-cent sums, one Arrow group_by. Emits timestamp[us] so
     partials from different sources (raw events vs a parquet-spilled
     view) always union with one schema."""
-    if batch.num_rows == 0:
-        return _HOURLY_PARTIAL_SCHEMA.empty_table()
     hour = pc.cast(
         pc.floor_temporal(batch.column("ts"), unit="hour"),
         pa.timestamp("us"))
@@ -545,47 +549,22 @@ def _hourly_partial(batch: pa.Table) -> pa.Table:
         {"user_id": batch.column("user_id"), "hour": hour,
          "cents": cents}
     )
-    df = out.to_pandas()
-    g = df.groupby(["user_id", "hour"], as_index=False).agg(
-        n_events=("cents", "size"), sum_cents=("cents", "sum")
-    )
-    # strip the pandas schema metadata (a dict): Ray hashes
-    # block schemas for plan dedup and warns on unhashable
-    # metadata / per-block metadata drift
-    return pa.Table.from_pandas(
-        g, preserve_index=False).replace_schema_metadata(None)
+    return out.group_by(["user_id", "hour"]).aggregate(
+        [([], "count_all"), ("cents", "sum")]
+    ).rename_columns(_HOURLY_PARTIAL_SCHEMA.names)
 
 
 def hourly_user_activity(sf_dir: str):
     """Tumbling 1h event-time windows per user: floor the timestamp in a
-    vectorized kernel, then partial-reduce + groupby — Ray Data has no
-    watermarks, so windows are just another grouping key (ordering
-    assumption: none needed for a tumbling count/sum)."""
+    vectorized kernel, partial-reduce per block, then ``aggregate_by``
+    (user, hour) — Ray Data has no watermarks, so windows are just
+    another grouping key (ordering assumption: none needed for a
+    tumbling count/sum)."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
     partials = ds.map_batches(
         _hourly_partial, batch_format="pyarrow", zero_copy_batch=True)
-    from ray.data.aggregate import Sum
-
-    out = partials.groupby(["user_id", "hour"]).aggregate(
-        Sum("n_events", alias_name="n_events"),
-        Sum("sum_cents", alias_name="sum_cents"),
-    )
-    # cast hour AFTER the groupby: Ray's Aggregate round-trips keys
-    # through numpy and collapses the timestamp unit, so an upstream
-    # cast is lost — project to timestamp[us] here to match the
-    # oracle's date_trunc surface type
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                "user_id": t.column("user_id"),
-                "hour": pc.cast(t.column("hour"), pa.timestamp("us")),
-                "n_events": t.column("n_events"),
-                "sum_cents": t.column("sum_cents"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    return aggregate_by(partials, ["user_id", "hour"], _HOURLY_SUMS)
 
 
 HOURLY_USER_ACTIVITY_SQL = """
@@ -617,12 +596,6 @@ def _ckpt_writer(path_str: str):
     instead of adding a second copy."""
 
     def write_block(t: pa.Table) -> pa.Table:
-        # re-pin the key's surface type first (Ray's Aggregate
-        # round-trips keys through numpy and collapses the timestamp
-        # unit), so the checkpoint and the flowing view agree
-        t = t.set_column(
-            t.schema.get_field_index("hour"), "hour",
-            pc.cast(t.column("hour"), pa.timestamp("us")))
         if t.num_rows:
             import os
             import uuid
@@ -671,7 +644,7 @@ def incremental_hourly_activity(sf_dir: str, resume: bool = False):
 
     Scale shape per epoch: one streaming pass over 1/N of the events
     (partials shrink blocks to the view's cardinality) → union with the
-    view read (column-complete, small) → ONE keyed groupby at view
+    view read (column-complete, small) → ONE ``aggregate_by`` at view
     cardinality → parquet spill. No full-log shuffle ever happens.
 
     The epoch split itself is ONE routed pass (hive-partitioned write on
@@ -679,11 +652,8 @@ def incremental_hourly_activity(sf_dir: str, resume: bool = False):
     a real log delivers — so each refresh then reads only its own
     epoch's files (partition-pruned), exactly like tailing segments.
     """
-    import os
     import shutil
     from pathlib import Path
-
-    from ray.data.aggregate import Sum
 
     from rfb_cnpj_etl_ray.scratch import scratch_dir
 
@@ -749,18 +719,16 @@ def incremental_hourly_activity(sf_dir: str, resume: bool = False):
         path = scratch / f"epoch_{ep}"
         shutil.rmtree(path, ignore_errors=True)  # half-written leftovers
         path.mkdir(parents=True, exist_ok=True)
-        folded = partials.groupby(["user_id", "hour"]).aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("sum_cents", alias_name="sum_cents"),
+        folded = aggregate_by(
+            partials, ["user_id", "hour"], _HOURLY_SUMS
         ).map_batches(
-            # re-pin the key's surface type (Ray's Aggregate round-trips
-            # keys through numpy and collapses the timestamp unit) AND
-            # stage-write the checkpoint from the SAME graph — fold +
-            # checkpoint is ONE plan per refresh, not write_parquet plus
-            # a read-back (VERDICT r4 #4: the 9-chained-plans fixed-cost
-            # floor). The blocks flow on as the next epoch's view, so
-            # the view never leaves the object store between refreshes;
-            # the parquet files exist only for crash resume.
+            # stage-write the checkpoint from the SAME graph as the
+            # fold — fold + checkpoint is ONE plan per refresh, not
+            # write_parquet plus a read-back (VERDICT r4 #4: the
+            # 9-chained-plans fixed-cost floor). The blocks flow on as
+            # the next epoch's view, so the view never leaves the object
+            # store between refreshes; the parquet files exist only for
+            # crash resume.
             _ckpt_writer(str(path)),
             batch_format="pyarrow",
         )
@@ -904,8 +872,9 @@ _SLIDE_HOURS = 3  # window length; hop = 1h → each event lands in 3 windows
 def sliding_user_activity(sf_dir: str):
     """3-hour windows hopping hourly, per user: each event vectorized-
     explodes into its 3 covering windows (window_start = floor(ts) - k·1h)
-    then the usual partial-agg → keyed Sum. Overlap factor is the only
-    cost over tumbling; no watermark needed for counts/sums."""
+    then the usual partial-agg → ``aggregate_by`` (user, window). Overlap
+    factor is the only cost over tumbling; no watermark needed for
+    counts/sums."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
     def explode_windows(batch: pa.Table) -> pa.Table:
@@ -926,36 +895,14 @@ def sliding_user_activity(sf_dir: str):
                 "window_start": start,
                 "cents": cents,
             }))
-        out = pa.concat_tables(tbls)
-        df = out.to_pandas()
-        g = df.groupby(["user_id", "window_start"], as_index=False).agg(
-            n_events=("cents", "size"), sum_cents=("cents", "sum"))
-        # strip the pandas schema metadata (a dict): Ray hashes
-        # block schemas for plan dedup and warns on unhashable
-        # metadata / per-block metadata drift
-        return pa.Table.from_pandas(
-            g, preserve_index=False).replace_schema_metadata(None)
-
-    from ray.data.aggregate import Sum
+        return pa.concat_tables(tbls).group_by(
+            ["user_id", "window_start"]
+        ).aggregate([([], "count_all"), ("cents", "sum")]).rename_columns(
+            ["user_id", "window_start", "n_events", "sum_cents"])
 
     partials = ds.map_batches(explode_windows, batch_format="pyarrow",
                               zero_copy_batch=True)
-    out = partials.groupby(["user_id", "window_start"]).aggregate(
-        Sum("n_events", alias_name="n_events"),
-        Sum("sum_cents", alias_name="sum_cents"),
-    )
-    # timestamp[us] cast after the groupby (Aggregate collapses the
-    # unit via numpy) — matches the oracle's date_trunc surface type
-    return out.map_batches(
-        lambda t: pa.table({
-            "user_id": t.column("user_id"),
-            "window_start": pc.cast(
-                t.column("window_start"), pa.timestamp("us")),
-            "n_events": t.column("n_events"),
-            "sum_cents": t.column("sum_cents"),
-        }),
-        batch_format="pyarrow",
-    )
+    return aggregate_by(partials, ["user_id", "window_start"], _HOURLY_SUMS)
 
 
 SLIDING_USER_ACTIVITY_SQL = f"""
@@ -1114,7 +1061,7 @@ FROM events GROUP BY event_type
 # exact grouped quantiles from distributed value counts — percentile over
 # 100 TB without a global sort: when the value domain is bounded (here
 # l_quantity: 50 distinct), per-batch value-count partials + one tiny
-# keyed Sum reconstruct the exact order statistics.
+# ``tree_fold`` sum reconstruct the exact order statistics.
 # ---------------------------------------------------------------------------
 
 _QUANTILES = (0.5, 0.9)
@@ -1175,10 +1122,8 @@ def props_extract_stats(sf_dir: str):
     Extraction is ONE compiled-regex Arrow kernel per block
     (``pc.extract_regex`` → ``struct_field`` → cast), never a per-row
     ``json.loads``; partials reduce each block to ≤|event_type| rows
-    before the (tiny) global groupby, so the exchange moves a handful of
-    rows per block regardless of event volume."""
-    from ray.data.aggregate import Max, Min, Sum
-
+    that ``tree_fold`` combines, so the fold moves a handful of rows per
+    block regardless of event volume."""
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1190,14 +1135,14 @@ def props_extract_stats(sf_dir: str):
         return g.rename_columns(
             ["event_type", "n_with_k", "sum_k", "min_k", "max_k"])
 
-    return ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("event_type").aggregate(
-        Sum("n_with_k", alias_name="n_with_k"),
-        Sum("sum_k", alias_name="sum_k"),
-        Min("min_k", alias_name="min_k"),
-        Max("max_k", alias_name="max_k"),
-    )
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("event_type", as_index=False).agg(
+            n_with_k=("n_with_k", "sum"), sum_k=("sum_k", "sum"),
+            min_k=("min_k", "min"), max_k=("max_k", "max"))
+
+    partials = ds.map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tree_fold(partials, combine)
 
 
 PROPS_EXTRACT_STATS_SQL = r"""
@@ -1249,9 +1194,7 @@ def _build_user_state_lake(sf_dir: str, tag: str, after_epoch=None):
     user_id. Returns (lake_path, [epoch1, epoch2]). ``after_epoch(n,
     lake)`` runs after each ingest — the interleave hook replication
     needs."""
-    import os
     import shutil
-    from pathlib import Path
 
     from rfb_cnpj_etl_ray.config import EngineConfig
     from rfb_cnpj_etl_ray.pipelines.ingest import ingest
@@ -1463,8 +1406,6 @@ def retention_cohorts(sf_dir: str):
     the per-block partial rows are already globally distinct and the
     final groupby only sums disjoint counts (a distinct-count that
     never ships user IDs through the wide aggregation)."""
-    from ray.data.aggregate import Sum
-
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])

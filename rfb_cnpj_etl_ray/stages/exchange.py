@@ -7,9 +7,13 @@ finishes on a one-CPU cluster.
   vectorized kernel per block (``map_batches(fn, batch_size=None)``),
   not one Python call per group. It is Ray Data's task sort, a range
   exchange on sampled boundaries.
-* ``tree_fold`` — the one combine of per-block partials: a task-only
-  fan-in tree, so only the root's rows reach the driver.
-* ``sum_by`` — the ``tree_fold`` combine of count partials.
+* ``tree_fold`` — the fold of per-block partials over LOW-cardinality
+  keys: a task-only fan-in tree, so only the root's rows reach the
+  driver.
+* ``sum_by`` — the ``tree_fold`` combine that sums count or revenue
+  partials per key.
+* ``aggregate_by`` — the fold of per-block partials over HIGH-cardinality
+  keys: ``repartition_by_key``, then one Arrow ``group_by`` per block.
 * ``fetch`` — broadcast side inputs (``ray.put`` refs) into plain
   stateless tasks, deserialized once per worker process.
 * ``run_tasks`` — one plain Ray task per item for per-partition and
@@ -21,6 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
+import pyarrow as pa
 import ray
 import ray.data
 
@@ -78,6 +83,28 @@ def tree_fold(partials: "ray.data.Dataset", combine, finish=None
     return ds
 
 
+def aggregate_by(partials: "ray.data.Dataset", keys: list[str],
+                 aggs: dict[str, str]) -> "ray.data.Dataset":
+    """Fold per-block partials over high-cardinality ``keys``: one keyed
+    exchange (``repartition_by_key``), then ONE Arrow
+    ``group_by(keys).aggregate`` per block, so the result holds each key
+    once. ``aggs`` maps a partial column to ``"sum"``, ``"min"`` or
+    ``"max"`` — decomposable folds, so partials from any source (raw
+    blocks, a spilled view) combine. The output columns are ``keys`` then
+    ``aggs`` in order, under their own names and Arrow types (a
+    ``timestamp[us]`` key stays ``timestamp[us]``)."""
+    keys = list(keys)
+    spec = list(aggs.items())
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys).aggregate(spec)
+        return pa.table({**{k: g.column(k) for k in keys},
+                         **{c: g.column(f"{c}_{fn}") for c, fn in spec}})
+
+    return repartition_by_key(partials, keys).map_batches(
+        fold, batch_format="pyarrow", batch_size=None)
+
+
 #: broadcast values one worker process keeps deserialized, least
 #: recently used evicted first; a few cover every side input of a pipeline
 FETCH_KEEP = 4
@@ -86,8 +113,8 @@ _fetch_lock = threading.Lock()
 
 
 def sum_by(keys: list[str], col: str | list[str]):
-    """``tree_fold`` combine for count partials: sum ``col`` (one column
-    or a list of columns) per key."""
+    """``tree_fold`` combine for count or revenue partials: sum ``col``
+    (one column or a list of columns) per key."""
 
     def combine(df):
         return df.groupby(keys, as_index=False)[col].sum()

@@ -121,8 +121,7 @@ def test_view_checkpoint_write_is_idempotent(ray_session, tmp_path):
 
     block = pa.table({
         "user_id": pa.array([7, 3, 3], pa.int64()),
-        "hour": pa.array([5_000_000, 9_000_000, 2_000_000],
-                         pa.timestamp("ns")),
+        "hour": pa.array([5_000, 9_000, 2_000], pa.timestamp("us")),
         "n_events": pa.array([1, 2, 3], pa.int64()),
         "sum_cents": pa.array([10, 20, 30], pa.int64()),
     })

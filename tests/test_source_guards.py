@@ -1,0 +1,86 @@
+"""Source guards over ``rfb_cnpj_etl_ray/``, written against the standard
+library's ``ast`` so they need no linter.
+
+* A function-local import whose name the function never uses is dead
+  code (a line marked ``# noqa`` is exempt: an import made only to
+  probe that a module is installed).
+* No module imports ``ray.data.aggregate``: every aggregate folds
+  through ``stages.exchange.tree_fold`` (low-cardinality keys) or
+  ``stages.exchange.aggregate_by`` (high-cardinality keys).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parent.parent / "rfb_cnpj_etl_ray"
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _modules():
+    for path in sorted(PKG.rglob("*.py")):
+        text = path.read_text()
+        yield (path.relative_to(PKG.parent), text.splitlines(),
+               ast.parse(text, str(path)))
+
+
+def _local_imports(fn):
+    """The imports whose nearest enclosing function is ``fn``."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCS + (ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _used_names(fn) -> set[str]:
+    """Every name ``fn`` (nested functions included) reads, plus the
+    words of its string annotations."""
+    used = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(re.findall(r"\w+", ann.value))
+    return used
+
+
+def _bound(alias: ast.alias) -> str:
+    return alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_function_local_imports():
+    found = []
+    for rel, lines, tree in _modules():
+        for fn in (n for n in ast.walk(tree) if isinstance(n, FUNCS)):
+            used = _used_names(fn)
+            for imp in _local_imports(fn):
+                span = lines[imp.lineno - 1:imp.end_lineno]
+                if any("# noqa" in line for line in span):
+                    continue
+                found += [f"{rel}:{imp.lineno} {_bound(a)} in {fn.name}"
+                          for a in imp.names
+                          if a.name != "*" and _bound(a) not in used]
+    assert found == [], "unused function-local imports:\n" + "\n".join(found)
+
+
+def test_no_module_imports_ray_data_aggregate():
+    found = []
+    for rel, _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "ray.data.aggregate"
+                   or n.startswith("ray.data.aggregate.") for n in names):
+                found.append(f"{rel}:{node.lineno}")
+    assert found == [], "imports of ray.data.aggregate:\n" + "\n".join(found)

@@ -1,5 +1,6 @@
-"""``stages.exchange.tree_fold`` and ``fetch``: the task-only partial
-fold and the per-worker broadcast cache every corpus operator shares."""
+"""``stages.exchange.tree_fold``, ``aggregate_by`` and ``fetch``: the
+task-only partial folds (low- and high-cardinality keys) and the
+per-worker broadcast cache the operators share."""
 
 import re
 
@@ -91,6 +92,39 @@ def test_tree_fold_of_no_rows_is_empty(ray_session):
 
     no_blocks = ray.data.range(4).filter(lambda r: False).materialize()
     assert X.tree_fold(no_blocks, boom, boom).count() == 0
+
+
+def test_aggregate_by_equals_one_groupby(ray_session):
+    """Four blocks that each hold every (user, hour) key fold to one row
+    per key: sums, mins and maxes equal one pandas groupby of the whole
+    input, the key keeps timestamp[us], and the columns are the keys
+    then the aggregates in order."""
+    import pyarrow as pa
+    import ray.data
+
+    rng = np.random.default_rng(7)
+    user, hour = np.meshgrid(np.arange(30), np.arange(6))
+    n = user.size
+    blocks = [pa.table({
+        "hi": pa.array(rng.integers(-50, 50, n), pa.int64()),
+        "user_id": pa.array(user.ravel(), pa.int64()),
+        "hour": pa.array(hour.ravel() * 3_600_000_000, pa.timestamp("us")),
+        "s": pa.array(rng.integers(0, 100, n), pa.int64()),
+        "lo": pa.array(rng.normal(size=n), pa.float64()),
+    }) for _ in range(4)]
+    keys = ["user_id", "hour"]
+    aggs = {"s": "sum", "lo": "min", "hi": "max"}
+
+    out = X.aggregate_by(ray.data.from_arrow(blocks), keys, aggs)
+    got = pa.concat_tables(
+        ray.get(ref) for ref in out.to_arrow_refs())
+    assert got.schema.names == keys + list(aggs)
+    assert got.schema.field("hour").type == pa.timestamp("us")
+    want = (pa.concat_tables(blocks).to_pandas()
+            .groupby(keys, as_index=False).agg(aggs))
+    pd.testing.assert_frame_equal(
+        got.to_pandas().sort_values(keys, ignore_index=True),
+        want[keys + list(aggs)].sort_values(keys, ignore_index=True))
 
 
 def test_fetch_gets_once_and_keeps_only_the_last_few(ray_session):
