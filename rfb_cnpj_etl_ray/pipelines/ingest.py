@@ -8,17 +8,20 @@ incremental, exactly-once, resumable replay:
     validate manifest            (zip_metadata.py:16-58 analog)
     select uncommitted segments  (resume; .part/Range analog, cnpj_downloader.py:84-96)
     evolve schema                (north-rule addition; declared SCHEMA analog)
-    read_parquet(segments)       (streaming, schema-unified at read)
+    segment pieces               (row-group ranges cut from the same footers)
     staged_exchange:             (stages/merge.py — the one exchange)
-      phase 1 map_batches        (routing + partial LWW reduce → staged chunks)
+      phase 1 per segment piece  (plain tasks: stream batches, conform to the
+                                  evolved schema, route + partial LWW reduce
+                                  → staged chunks)
       phase 2 per partition      (plain tasks: fold with committed state → snapshot)
     commit-log append            (single atomic synchronization point)
 
-Only phase 1 is a Dataset (the one streaming pass over events of any
-volume); phase 2 is one plain Ray task per partition
-(``stages.exchange.run_tasks``). Never materializes the event stream on
-the driver: the only driver-side collects are the tiny per-task stage
-stats and the per-partition manifest rows (≤ num_partitions).
+An epoch starts no Ray Dataset: both phases are plain Ray tasks
+(``stages.exchange.run_tasks``), one per segment piece and one per
+touched partition, and a phase-1 task holds one batch at a time. Never
+materializes the event stream on the driver: the driver reads only the
+new segments' footers, and its only collects are the tiny per-batch
+stage stats and the per-partition manifest rows (≤ num_partitions).
 Callers own the Ray session — nothing here calls ray.init().
 """
 
@@ -43,6 +46,7 @@ from rfb_cnpj_etl_ray.spec import (
 from rfb_cnpj_etl_ray.stages.merge import (
     INTERNAL_DELETED,
     internal_schema,
+    segment_pieces,
     staged_exchange,
     strip_internal,
 )
@@ -105,17 +109,15 @@ def _ingest(log: CommitLog, last: Snapshot, log_dir: str | Path,
     events_read = sum(s["rows"] for s in new_segs)
 
     # --- schema evolution at the read boundary ---------------------------
+    # one footer read per new segment gives its schema and its pieces
+    metas = {p: pq.read_metadata(p) for p in paths}
     payload_schema = last.schema
-    for p in paths:
-        seg_schema = pq.read_schema(p)
+    for meta in metas.values():
         seg_payload = pa.schema(
-            [f for f in seg_schema if f.name not in ("lsn", "op")]
+            [f for f in meta.schema.to_arrow_schema()
+             if f.name not in ("lsn", "op")]
         )
         payload_schema = evolve_schema(payload_schema, seg_payload)
-    change_schema = pa.schema(
-        [pa.field("lsn", pa.int64()), pa.field("op", pa.string())]
-        + list(payload_schema)
-    )
 
     epoch = last.epoch + 1
     reporter = None
@@ -125,10 +127,10 @@ def _ingest(log: CommitLog, last: Snapshot, log_dir: str | Path,
         reporter = ProgressReporter(
             total=events_read, label=f"{log.table_dir.name} epoch {epoch}")
     try:
-        ds = ray.data.read_parquet(paths, schema=change_schema)
         with staged_exchange(
-            ds, log.table_dir, epoch, payload_schema, last.num_partitions,
-            cfg, write_mode=cfg.write_mode, part_files=last.files,
+            segment_pieces(metas, cfg.batch_size), log.table_dir, epoch,
+            payload_schema, last.num_partitions, cfg,
+            write_mode=cfg.write_mode, part_files=last.files,
             min_lsn_exclusive=last.watermark,
             progress_counter=(reporter.counter if reporter else None),
             t0=t0,

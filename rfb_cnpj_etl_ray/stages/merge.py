@@ -6,8 +6,8 @@ deletes. Because that fold is associative and commutative (max-by-lsn),
 it can run in two shrinking stages without ever seeing a key's full
 history in one place:
 
-  1. **phase 1: route + per-batch partial reduce** (stateless
-     ``map_batches``, zero-copy Arrow): collapse each block to one row
+  1. **phase 1: route + per-batch partial reduce** (stateless batch
+     function, zero-copy Arrow): collapse each batch to one row
      per ``doc_id`` and append each partition's slice to the staging dir
      as an Arrow chunk. This is the skew handling: each batch acts as
      the salt of a two-stage aggregation, so a doc_id with 1M events
@@ -21,10 +21,11 @@ history in one place:
      again, write the next snapshot atomically.
 
 ``staged_exchange`` drives the two phases; it is the only way the
-engine rewrites partitions from a Dataset (ingest, lake init,
-repartition), and ``write_partition_snapshot`` writes every partition
-file. Phase 1 is the one Dataset; phase 2 is one plain Ray task per
-partition (``stages.exchange.run_tasks``).
+engine rewrites partitions (ingest, lake init, repartition), and
+``write_partition_snapshot`` writes every partition file. Ingest runs
+phase 1 as one plain Ray task per segment piece (``segment_pieces``),
+lake init and repartition as ``map_batches`` over their Dataset; phase 2
+is one plain Ray task per partition (``stages.exchange.run_tasks``).
 
 Keeping ``_lsn``/``_deleted`` in the materialized state means applying
 *any* subset of old events again (duplicated batches, crash-replay,
@@ -166,8 +167,8 @@ def make_stage_partitioner(
     worker_threads: int = 1,
     progress_counter=None,
 ):
-    """Build the phase-1 map_batches closure (plain function → elastic
-    task pool, no actor startup cost): ``_internal_rows`` per batch
+    """Build the phase-1 batch closure (a plain function, called by a
+    segment-piece task or by ``map_batches``): ``_internal_rows`` per batch
     (``prep`` names the input kind), routed to its hash partition and
     staged as ``part=KKKK/stage-*.arrow``.
 
@@ -249,6 +250,50 @@ def make_stage_partitioner(
 
 def _stage_stats_schema() -> pa.Schema:
     return pa.schema([pa.field("part", pa.int32()), pa.field("rows", pa.int64())])
+
+
+def segment_pieces(metas: dict, batch_size: int) -> list[dict]:
+    """Cut change-log segments into phase-1 pieces from their footers
+    (``{path: pq.FileMetaData}``): consecutive row-group ranges of at
+    least ``batch_size`` rows — a segment's last piece may hold fewer —
+    as ``{"path", "row_groups"}`` items. A piece never spans two
+    segments, and a segment without rows yields none."""
+    pieces = []
+    for path, meta in metas.items():
+        groups, rows = [], 0
+        for rg in range(meta.num_row_groups):
+            groups.append(rg)
+            rows += meta.row_group(rg).num_rows
+            if rows >= batch_size:
+                pieces.append({"path": path, "row_groups": groups})
+                groups, rows = [], 0
+        if rows:
+            pieces.append({"path": path, "row_groups": groups})
+    return pieces
+
+
+def _piece_stager(stage, payload_schema: pa.Schema, batch_size: int):
+    """Phase-1 task body over one segment piece: stream its row groups in
+    ``batch_size``-row batches, conform each to the change schema
+    (``lsn``, ``op``, evolved payload) and ``stage`` it; return the
+    stats rows."""
+    import pyarrow.parquet as pq
+
+    change_schema = pa.schema(
+        [pa.field("lsn", pa.int64()), pa.field("op", pa.string())]
+        + list(payload_schema))
+
+    def run(piece: dict) -> list[dict]:
+        rows = []
+        with pq.ParquetFile(piece["path"]) as pf:
+            for batch in pf.iter_batches(batch_size=batch_size,
+                                         row_groups=piece["row_groups"]):
+                table = conform_table(pa.Table.from_batches([batch]),
+                                      change_schema)
+                rows += stage(table).to_pylist()
+        return rows
+
+    return run
 
 
 def load_partition_state(
@@ -401,7 +446,7 @@ class ExchangeResult(NamedTuple):
 
 @contextmanager
 def staged_exchange(
-    ds,
+    source,
     table_dir: str | Path,
     epoch: int,
     payload_schema: pa.Schema,
@@ -414,12 +459,15 @@ def staged_exchange(
     progress_counter=None,
     t0: float | None = None,
 ):
-    """Rewrite the partitions ``ds`` touches as epoch ``epoch`` — the one
-    way the engine moves rows into partition files (ingest, lake init,
-    repartition). In order: clear the epoch's staging dir (crash
-    leftovers), run phase 1 over ``ds`` (``take_all`` is the barrier),
-    then phase 2 over the touched partitions; yield an
-    ``ExchangeResult``.
+    """Rewrite the partitions ``source`` touches as epoch ``epoch`` — the
+    one way the engine moves rows into partition files (ingest, lake
+    init, repartition). ``source`` is either a list of change-log
+    segment pieces (``segment_pieces``; ingest), staged by one plain Ray
+    task each, or a Dataset of ``prep`` rows (lake init, repartition),
+    staged by ``map_batches``. In order: clear the epoch's staging dir
+    (crash leftovers), run phase 1 over ``source`` (collecting its stats
+    rows is the barrier), then phase 2 over the touched partitions;
+    yield an ``ExchangeResult``.
 
     The caller commits inside the ``with`` block. The staging dir is
     removed when the block exits normally and kept when it raises (a
@@ -442,10 +490,16 @@ def staged_exchange(
         progress_counter=progress_counter,
     )
     t_stage = time.perf_counter()
-    stats = ds.map_batches(
-        stage_fn, batch_format="pyarrow", batch_size=cfg.batch_size,
-        zero_copy_batch=True, num_cpus=task_cpus,
-    ).take_all()  # tiny (tasks × touched parts); acts as the barrier
+    # stats are tiny (batches × touched parts)
+    if isinstance(source, list):
+        stats = [r for rows in run_tasks(
+            _piece_stager(stage_fn, payload_schema, cfg.batch_size),
+            source, num_cpus=task_cpus) for r in rows]
+    else:
+        stats = source.map_batches(
+            stage_fn, batch_format="pyarrow", batch_size=cfg.batch_size,
+            zero_copy_batch=True, num_cpus=task_cpus,
+        ).take_all()
     t_merge = time.perf_counter()
     dropped_late = sum(r["rows"] for r in stats if r["part"] < 0)
     touched = sorted({int(r["part"]) for r in stats if r["part"] >= 0})

@@ -1,6 +1,6 @@
 """``stages.exchange.run_tasks``: one plain Ray task per item for the
-per-partition and per-file control work (phase 2 of the staged exchange,
-maintenance, export, segment fetch) — order, retry and in-flight
+per-partition and per-file control work (both phases of an ingest
+epoch, maintenance, export, segment fetch) — order, retry and in-flight
 semantics, and a guard that none of that work starts a Dataset."""
 
 import json
@@ -92,8 +92,9 @@ def test_max_in_flight_one_runs_tasks_one_at_a_time(ray_session, tmp_path):
 def test_control_path_starts_no_dataset(ray_session, tmp_path, monkeypatch):
     """Fetch, cow ingest, two delta ingests, compact_deltas, compact,
     validate_lake and export_lake all run with ``ray.data.from_items``
-    raising on the driver — their per-item work is plain tasks — and
-    every lake they leave matches the oracle."""
+    and ``ray.data.read_parquet`` raising on the driver — their per-item
+    work, ingest's segment reads included, is plain tasks — and every
+    lake they leave matches the oracle."""
     base = make_base(300, seed=31, max_len=32)
     events = make_changelog(2400, 300, seed=32, max_len=32)
     remote = tmp_path / "remote_log"
@@ -103,10 +104,13 @@ def test_control_path_starts_no_dataset(ray_session, tmp_path, monkeypatch):
     init_lake(cow, SPEC, base=base, num_partitions=4)
     init_lake(delta, SPEC, base=base, num_partitions=4)
 
-    def no_dataset(*args, **kwargs):
-        raise AssertionError("ray.data.from_items on the control path")
+    def no_dataset(name):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"ray.data.{name} on the control path")
+        return raise_
 
-    monkeypatch.setattr(ray.data, "from_items", no_dataset)
+    for name in ("from_items", "read_parquet"):
+        monkeypatch.setattr(ray.data, name, no_dataset(name))
     local = tmp_path / "local_log"
     reports = fetch_manifest_segments(remote, local)
     assert [r["name"] for r in reports] == sorted(
