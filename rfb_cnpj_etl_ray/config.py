@@ -22,11 +22,11 @@ class EngineConfig:
     #: hides stragglers; partition count is fixed at table-init time.
     num_partitions: int = 32
 
-    #: rows per Arrow batch of phase 1: an ingest task reads its segment
-    #: piece in batches of this many rows, and a piece covers at least
-    #: this many (whole row groups); lake init and repartition hand
-    #: ``map_batches`` batches of this size. Bigger batches amortize the
-    #: per-batch sort and produce fewer staged chunks
+    #: rows per Arrow batch of phase 1: an ingest task stages its segment
+    #: piece in batches of this many rows (spanning small segments), and
+    #: a piece packs whole segments up to at least this many; lake init
+    #: and repartition hand ``map_batches`` batches of this size. Bigger
+    #: batches amortize the per-batch sort and produce fewer staged chunks
     #: (measured: 2× throughput from 16k→128k at ~170 B/row); size so
     #: batch_bytes × concurrent tasks fits worker heap — at ~1 KB/row
     #: payloads (max-length token lists) 64k rows ≈ 64 MB per batch.

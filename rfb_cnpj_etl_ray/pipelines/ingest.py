@@ -8,10 +8,12 @@ incremental, exactly-once, resumable replay:
     validate manifest            (zip_metadata.py:16-58 analog)
     select uncommitted segments  (resume; .part/Range analog, cnpj_downloader.py:84-96)
     evolve schema                (north-rule addition; declared SCHEMA analog)
-    segment pieces               (row-group ranges cut from the same footers)
+    segment pieces               (whole segments packed to batch_size rows,
+                                  from the same footers)
     staged_exchange:             (stages/merge.py — the one exchange)
       phase 1 per segment piece  (plain tasks: stream batches, conform to the
-                                  evolved schema, route + partial LWW reduce
+                                  evolved schema, batch across segments,
+                                  route + partial LWW reduce
                                   → staged chunks)
       phase 2 per partition      (plain tasks: fold with committed state → snapshot)
     commit-log append            (single atomic synchronization point)

@@ -252,45 +252,51 @@ def _stage_stats_schema() -> pa.Schema:
     return pa.schema([pa.field("part", pa.int32()), pa.field("rows", pa.int64())])
 
 
-def segment_pieces(metas: dict, batch_size: int) -> list[dict]:
-    """Cut change-log segments into phase-1 pieces from their footers
-    (``{path: pq.FileMetaData}``): consecutive row-group ranges of at
-    least ``batch_size`` rows — a segment's last piece may hold fewer —
-    as ``{"path", "row_groups"}`` items. A piece never spans two
-    segments, and a segment without rows yields none."""
-    pieces = []
+def segment_pieces(metas: dict, batch_size: int) -> list[list[str]]:
+    """Pack change-log segments into phase-1 pieces from their footers
+    (``{path: pq.FileMetaData}``): runs of consecutive whole segments
+    holding at least ``batch_size`` rows — the last piece may hold
+    fewer — as lists of paths, so one task's batches span many small
+    segments. A segment without rows is in no piece."""
+    pieces, paths, rows = [], [], 0
     for path, meta in metas.items():
-        groups, rows = [], 0
-        for rg in range(meta.num_row_groups):
-            groups.append(rg)
-            rows += meta.row_group(rg).num_rows
-            if rows >= batch_size:
-                pieces.append({"path": path, "row_groups": groups})
-                groups, rows = [], 0
-        if rows:
-            pieces.append({"path": path, "row_groups": groups})
+        if not meta.num_rows:
+            continue
+        paths.append(path)
+        rows += meta.num_rows
+        if rows >= batch_size:
+            pieces.append(paths)
+            paths, rows = [], 0
+    if paths:
+        pieces.append(paths)
     return pieces
 
 
 def _piece_stager(stage, payload_schema: pa.Schema, batch_size: int):
-    """Phase-1 task body over one segment piece: stream its row groups in
-    ``batch_size``-row batches, conform each to the change schema
-    (``lsn``, ``op``, evolved payload) and ``stage`` it; return the
-    stats rows."""
+    """Phase-1 task body over one segment piece: stream its segments,
+    conform each read batch to the change schema (``lsn``, ``op``,
+    evolved payload) and ``stage`` them in ``batch_size``-row batches
+    that may span segments; return the stats rows."""
     import pyarrow.parquet as pq
 
     change_schema = pa.schema(
         [pa.field("lsn", pa.int64()), pa.field("op", pa.string())]
         + list(payload_schema))
 
-    def run(piece: dict) -> list[dict]:
-        rows = []
-        with pq.ParquetFile(piece["path"]) as pf:
-            for batch in pf.iter_batches(batch_size=batch_size,
-                                         row_groups=piece["row_groups"]):
-                table = conform_table(pa.Table.from_batches([batch]),
-                                      change_schema)
-                rows += stage(table).to_pylist()
+    def run(piece: list[str]) -> list[dict]:
+        rows, pending, n = [], [], 0
+        for path in piece:
+            with pq.ParquetFile(path) as pf:
+                for batch in pf.iter_batches(batch_size=batch_size):
+                    pending.append(conform_table(
+                        pa.Table.from_batches([batch]), change_schema))
+                    n += batch.num_rows
+                    if n >= batch_size:
+                        table = pa.concat_tables(pending)
+                        rows += stage(table.slice(0, batch_size)).to_pylist()
+                        pending, n = [table.slice(batch_size)], n - batch_size
+        if n:
+            rows += stage(pa.concat_tables(pending)).to_pylist()
         return rows
 
     return run

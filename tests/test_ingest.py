@@ -3,7 +3,7 @@
 Covers the north-rule correctness gates: final-state token-array
 equality, incremental multi-epoch replay, duplicated-batch injection,
 crash-restart resume, out-of-order segment arrival, and phase-1 segment
-pieces (row-group splits, empty and older-schema segments).
+pieces (packed small segments, empty and older-schema segments).
 """
 
 import numpy as np
@@ -142,46 +142,45 @@ def test_out_of_order_segment_arrival(ray_session, tmp_path):
     assert_states_equal(replay(base, events), read_lake_table(lake))
 
 
-def test_segment_pieces_split_row_groups_and_skip_empty(ray_session,
-                                                        tmp_path):
-    """One epoch of three segments: 1,000 events in 100-row row groups
-    carrying an evolved ``lang`` column, a 0-row segment, and an
-    older-schema segment without ``lang``. At ``batch_size=250`` the
-    first is cut into 4 pieces, every row group lands in exactly one
-    piece, and the lake matches the oracle."""
+def test_segment_pieces_pack_segments_and_skip_empty(ray_session, tmp_path):
+    """One epoch of four segments: 1,000 events carrying an evolved
+    ``lang`` column, a 0-row segment, 150 more ``lang`` events, and an
+    older-schema segment of 200 events without ``lang``. At
+    ``batch_size=250`` the big segment is a piece of its own, the two
+    small ones share one (so a staged batch spans both schema versions),
+    the empty one is in none, and the lake matches the oracle."""
+    rng = np.random.default_rng(63)
+
+    def with_lang(t):
+        return t.append_column("lang", pa.array(
+            np.array(["pt", "en", "es"])[rng.integers(0, 3, t.num_rows)]))
+
     base = make_base(200, seed=61, max_len=32)
-    evolved = make_changelog(1000, 200, seed=62, start_lsn=2000, max_len=32)
-    evolved = evolved.append_column("lang", pa.array(
-        np.array(["pt", "en", "es"])[
-            np.random.default_rng(63).integers(0, 3, 1000)]))
-    older = make_changelog(300, 200, seed=64, start_lsn=1000, max_len=32)
+    big = with_lang(make_changelog(1000, 200, seed=62, start_lsn=2000,
+                                   max_len=32))
+    small = with_lang(make_changelog(150, 200, seed=65, start_lsn=3000,
+                                     max_len=32))
+    older = make_changelog(200, 200, seed=64, start_lsn=1000, max_len=32)
     log_dir = tmp_path / "log"
     log_dir.mkdir()
-    paths = [log_dir / f"seg-{k:05d}.parquet" for k in range(3)]
-    pq.write_table(evolved, paths[0], row_group_size=100)
+    paths = [str(log_dir / f"seg-{k:05d}.parquet") for k in range(4)]
+    pq.write_table(big, paths[0])
     pq.write_table(CHANGE_SCHEMA.empty_table(), paths[1])
-    pq.write_table(older, paths[2])
+    pq.write_table(small, paths[2])
+    pq.write_table(older, paths[3])
     manifest_from_dir(log_dir)
 
-    metas = {str(p): pq.read_metadata(p) for p in paths}
-    pieces = segment_pieces(metas, 250)
-    by_path = {str(p): [q["row_groups"] for q in pieces
-                        if q["path"] == str(p)] for p in paths}
-    assert len(by_path[str(paths[0])]) == 4
-    assert by_path[str(paths[1])] == []
-    for p, groups in by_path.items():
-        if metas[p].num_rows:
-            assert sorted(g for gs in groups for g in gs) == list(
-                range(metas[p].num_row_groups))
+    metas = {p: pq.read_metadata(p) for p in paths}
+    assert segment_pieces(metas, 250) == [[paths[0]], [paths[2], paths[3]]]
 
     lake = tmp_path / "lake"
     init_lake(lake, SPEC, base=base, num_partitions=4)
     report = ingest(lake, log_dir,
                     cfg=EngineConfig(num_partitions=4, batch_size=250))
-    assert report["events_read"] == 1300
-    schema = evolve_schema(CHANGE_SCHEMA, evolved.schema)
-    events = pa.concat_tables([conform_table(evolved, schema),
-                               conform_table(older, schema)])
+    assert report["events_read"] == 1350
+    schema = evolve_schema(CHANGE_SCHEMA, big.schema)
+    events = pa.concat_tables(
+        [conform_table(t, schema) for t in (big, small, older)])
     assert_states_equal(replay(base, events), read_lake_table(lake))
 
 
