@@ -7,10 +7,12 @@ pipeline over Parquet tables of pre-tokenized training sequences:
     doc_id:string, tokens:list<int32>, n_tok:int32, source:string
 
 Change events (op ∈ {I,U,D}, ordered by a globally-unique int64 ``lsn``)
-are consumed as a ``ray.data.Dataset``, hash-partitioned by ``doc_id``,
-and applied with LSN-ordered last-writer-wins semantics through an
-idempotent, exactly-once transactional sink (staged Parquet parts +
-per-partition manifest + atomic commit log).
+are read from Parquet change-log segments by plain Ray tasks,
+hash-partitioned by ``doc_id``, and applied with LSN-ordered
+last-writer-wins semantics through an idempotent, exactly-once
+transactional sink (staged Arrow chunks + per-partition Parquet
+snapshots + atomic commit log). Each commit logs one INFO line on the
+``rfb_cnpj_etl_ray`` logger; the package installs no handler.
 
 Nothing here calls ``ray.init()``; callers own the Ray session.
 """

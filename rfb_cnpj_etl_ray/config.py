@@ -1,12 +1,15 @@
-"""Engine tunables.
+"""Engine tunables: the three knobs a caller sets per run.
 
 Analog of the reference's ``config.py`` knob sheet (batch size, per-table
 batch ratios, worker counts, queue size, retries — see SURVEY.md §2.8 and
 reference ``src/rfb_cnpj_etl/config.py:27-60``), redesigned for Ray Data:
-batch/block sizing instead of queue sizes, partition counts instead of
-thread counts. Skew needs no knob in place of the static ``BATCH_RATIO``
-shrink factor: the staged exchange's per-batch partial reduce bounds
-every hot key to one row per batch (``stages.merge``).
+batch sizing instead of queue sizes, partition counts instead of thread
+counts, and the write mode. Skew needs no knob in place of the static
+``BATCH_RATIO`` shrink factor: the staged exchange's per-batch partial
+reduce bounds every hot key to one row per batch (``stages.merge``).
+Partition files are always zstd Parquet in 64Ki-row row groups
+(``state.commitlog.atomic_write_table``), and each commit logs one INFO
+line (``state.commitlog``) in place of a progress display.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ class EngineConfig:
 
     #: rows per Arrow batch of phase 1: an ingest task stages its segment
     #: piece in batches of this many rows (spanning small segments), and
-    #: a piece packs whole segments up to at least this many; lake init
-    #: and repartition hand ``map_batches`` batches of this size. Bigger
-    #: batches amortize the per-batch sort and produce fewer staged chunks
-    #: (measured: 2× throughput from 16k→128k at ~170 B/row); size so
-    #: batch_bytes × concurrent tasks fits worker heap — at ~1 KB/row
-    #: payloads (max-length token lists) 64k rows ≈ 64 MB per batch.
+    #: a piece packs whole segments up to at most this many (a larger
+    #: segment is a piece of its own); lake init and repartition hand
+    #: ``map_batches`` batches of this size. Bigger batches amortize the
+    #: per-batch sort and produce fewer staged chunks (measured: 2×
+    #: throughput from 16k→128k at ~170 B/row); size so batch_bytes ×
+    #: concurrent tasks fits worker heap — at ~1 KB/row payloads
+    #: (max-length token lists) 64k rows ≈ 64 MB per batch.
     batch_size: int = 65_536
 
     # --- write mode -------------------------------------------------------
@@ -41,19 +45,6 @@ class EngineConfig:
     #: one snapshot. Delta mode removes the O(table size) write
     #: amplification per epoch — the steady-state CDC configuration.
     write_mode: str = "cow"
-
-    # --- sink -------------------------------------------------------------
-    #: parquet compression for partition snapshot and delta files.
-    compression: str = "zstd"
-
-    #: rows per row-group in written parquet (bounds reader memory).
-    row_group_size: int = 64 * 1024
-
-    # --- progress ---------------------------------------------------------
-    #: live progress lines during ingest (reference: utils/progress.py
-    #: bar). One fire-and-forget counter call per staged batch; off by
-    #: default to keep benches clean.
-    progress: bool = False
 
     def validate(self) -> None:
         if self.write_mode not in ("cow", "delta"):

@@ -122,44 +122,29 @@ def _ingest(log: CommitLog, last: Snapshot, log_dir: str | Path,
         payload_schema = evolve_schema(payload_schema, seg_payload)
 
     epoch = last.epoch + 1
-    reporter = None
-    if cfg.progress:
-        from rfb_cnpj_etl_ray.progress import ProgressReporter
-
-        reporter = ProgressReporter(
-            total=events_read, label=f"{log.table_dir.name} epoch {epoch}")
-    try:
-        with staged_exchange(
-            segment_pieces(metas, cfg.batch_size), log.table_dir, epoch,
-            payload_schema, last.num_partitions, cfg,
-            write_mode=cfg.write_mode, part_files=last.files,
-            min_lsn_exclusive=last.watermark,
-            progress_counter=(reporter.counter if reporter else None),
-            t0=t0,
-        ) as exchange:
-            t_staged = time.perf_counter()
-            staged = exchange.rows
-            partitions = next_partitions(last.partitions, staged,
-                                         cfg.write_mode)
-            log.commit_next(last, partitions, {
-                "events_read": events_read,
-                "segments_this_epoch": [s["name"] for s in new_segs],
-                "partitions_touched": len(staged),
-                "events_dropped_late": exchange.dropped_late,
-                "rows_total": sum(
-                    int(p["live_rows"] if p.get("live_rows") is not None
-                        else p["rows"])
-                    for p in partitions.values()
-                ),
-                "stage_seconds": round(t_staged - t0, 3),
-                "phase_seconds": exchange.phase_seconds,
-            }, schema=payload_schema, segments=sorted(
-                committed_segments | {seg_id(s) for s in new_segs}))
-    finally:
-        # a failed epoch must not leak the progress render thread /
-        # counter actor (they would print forever in a tail loop)
-        if reporter is not None:
-            reporter.stop()
+    with staged_exchange(
+        segment_pieces(metas, cfg.batch_size), log.table_dir, epoch,
+        payload_schema, last.num_partitions, cfg,
+        write_mode=cfg.write_mode, part_files=last.files,
+        min_lsn_exclusive=last.watermark, t0=t0,
+    ) as exchange:
+        t_staged = time.perf_counter()
+        staged = exchange.rows
+        partitions = next_partitions(last.partitions, staged, cfg.write_mode)
+        log.commit_next(last, partitions, {
+            "events_read": events_read,
+            "segments_this_epoch": [s["name"] for s in new_segs],
+            "partitions_touched": len(staged),
+            "events_dropped_late": exchange.dropped_late,
+            "rows_total": sum(
+                int(p["live_rows"] if p.get("live_rows") is not None
+                    else p["rows"])
+                for p in partitions.values()
+            ),
+            "stage_seconds": round(t_staged - t0, 3),
+            "phase_seconds": exchange.phase_seconds,
+        }, schema=payload_schema, segments=sorted(
+            committed_segments | {seg_id(s) for s in new_segs}))
     return {
         "epoch": epoch,
         "segments": [s["name"] for s in new_segs],

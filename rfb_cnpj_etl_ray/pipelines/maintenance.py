@@ -229,8 +229,8 @@ def compact_deltas(
     watermark is recorded — this is the steady-state maintenance that
     amortizes fold cost across epochs instead of paying a periodic
     full-table rewrite spike (LSM size-tiered compaction, applied to the
-    per-partition delta stacks)."""
-    cfg = cfg or EngineConfig()
+    per-partition delta stacks). ``cfg`` is unused: a fold needs no
+    engine knob."""
     t0 = time.perf_counter()
     log = CommitLog(Path(lake_dir) / table)
     snap = log.snapshot()
@@ -268,8 +268,7 @@ def compact_deltas(
         # was written from it), so it is already doc_id-sorted
         return write_partition_snapshot(
             load_partition_state(str(table_dir), item["rels"], int_sch),
-            table_dir, item["part"], epoch, compression=cfg.compression,
-            row_group_size=cfg.row_group_size)
+            table_dir, item["part"], epoch)
 
     results = run_tasks(fold, items)
     log.commit_next(snap, next_partitions(snap.partitions, results, "fold"), {
@@ -285,8 +284,8 @@ def compact(lake_dir: str | Path, table: str = "sequences",
     """Rewrite partitions dropping tombstones with _lsn <= watermark
     (default: the table's max committed lsn — full tombstone GC). Commits
     a new epoch recording ``compaction_watermark``; subsequent ingests
-    refuse to apply events at or below it (GC safety)."""
-    cfg = cfg or EngineConfig()
+    refuse to apply events at or below it (GC safety). ``cfg`` is
+    unused: a rewrite needs no engine knob."""
     t0 = time.perf_counter()
     log = CommitLog(Path(lake_dir) / table)
     snap = log.snapshot()
@@ -306,9 +305,8 @@ def compact(lake_dir: str | Path, table: str = "sequences",
             pc.less_equal(t[INTERNAL_LSN], watermark_lsn),
         )
         kept = t.filter(pc.invert(drop))
-        written = write_partition_snapshot(
-            kept, table_dir, item["part"], epoch,
-            compression=cfg.compression, row_group_size=cfg.row_group_size)
+        written = write_partition_snapshot(kept, table_dir, item["part"],
+                                           epoch)
         return {**written, "dropped": t.num_rows - kept.num_rows}
 
     results = run_tasks(rewrite, items)

@@ -20,9 +20,12 @@ history in one place:
      replay-equivalent pseudo-events — with the staged chunks, reduce
      again, write the next snapshot atomically.
 
-``staged_exchange`` drives the two phases; it is the only way the
-engine rewrites partitions (ingest, lake init, repartition), and
-``write_partition_snapshot`` writes every partition file. Ingest runs
+``staged_exchange`` drives the two phases; it is the one way the engine
+routes rows to partitions (ingest, which ``merge_into`` and
+``replicate`` go through, distributed lake init, repartition).
+``write_partition_snapshot`` writes every partition file: phase 2's,
+and also those of ``init_lake``, ``compact`` and ``compact_deltas``,
+which split or fold committed state without an exchange. Ingest runs
 phase 1 as one plain Ray task per segment piece (``segment_pieces``),
 lake init and repartition as ``map_batches`` over their Dataset; phase 2
 is one plain Ray task per partition (``stages.exchange.run_tasks``).
@@ -165,7 +168,6 @@ def make_stage_partitioner(
     prep: str = "events",
     min_lsn_exclusive: int | None = None,
     worker_threads: int = 1,
-    progress_counter=None,
 ):
     """Build the phase-1 batch closure (a plain function, called by a
     segment-piece task or by ``map_batches``): ``_internal_rows`` per batch
@@ -186,8 +188,6 @@ def make_stage_partitioner(
 
     def stage(batch: pa.Table) -> pa.Table:
         tune_worker_threads(worker_threads)
-        if progress_counter is not None:  # fire-and-forget, off data path
-            progress_counter.add.remote(batch.num_rows)
         n_dropped_late = 0
         if events and min_lsn_exclusive is not None:
             # GC safety: a compaction dropped tombstones up to the
@@ -203,7 +203,7 @@ def make_stage_partitioner(
         if batch.num_rows == 0:
             if n_dropped_late:
                 # sentinel row: part=-1 carries the late-drop count so the
-                # driver can report it (M6 metrics analog, progress.py)
+                # driver can report it (M6 metrics analog)
                 return pa.Table.from_pylist(
                     [{"part": -1, "rows": n_dropped_late}],
                     schema=_stage_stats_schema(),
@@ -255,18 +255,19 @@ def _stage_stats_schema() -> pa.Schema:
 def segment_pieces(metas: dict, batch_size: int) -> list[list[str]]:
     """Pack change-log segments into phase-1 pieces from their footers
     (``{path: pq.FileMetaData}``): runs of consecutive whole segments
-    holding at least ``batch_size`` rows — the last piece may hold
-    fewer — as lists of paths, so one task's batches span many small
-    segments. A segment without rows is in no piece."""
+    holding at most ``batch_size`` rows, as lists of paths, so one task
+    stages many small segments as one batch instead of a full batch
+    plus a leftover. A segment larger than ``batch_size`` is a piece of
+    its own; a segment without rows is in no piece."""
     pieces, paths, rows = [], [], 0
     for path, meta in metas.items():
         if not meta.num_rows:
             continue
-        paths.append(path)
-        rows += meta.num_rows
-        if rows >= batch_size:
+        if paths and rows + meta.num_rows > batch_size:
             pieces.append(paths)
             paths, rows = [], 0
+        paths.append(path)
+        rows += meta.num_rows
     if paths:
         pieces.append(paths)
     return pieces
@@ -329,8 +330,6 @@ def make_partition_fold(
     epoch: int,
     part_files: dict[int, list[str]],
     payload_schema_json: list[list[str]],
-    compression: str = "zstd",
-    row_group_size: int = 64 * 1024,
     write_mode: str = "cow",
     worker_threads: int = 1,
 ):
@@ -363,9 +362,8 @@ def make_partition_fold(
                                         int_sch)
             if base.num_rows:
                 merged = lww_reduce(pa.concat_tables([base, events]))
-        row = write_partition_snapshot(
-            merged, table_dir, part, epoch, delta=delta,
-            compression=compression, row_group_size=row_group_size)
+        row = write_partition_snapshot(merged, table_dir, part, epoch,
+                                       delta=delta)
         row["lsn_high"] = int(pc.max(events.column(INTERNAL_LSN)).as_py())
         row["events_applied"] = events.num_rows
         return row
@@ -393,8 +391,6 @@ def write_partition_snapshot(
     part: int,
     epoch: int,
     delta: bool = False,
-    compression: str = "zstd",
-    row_group_size: int = 64 * 1024,
 ) -> dict:
     """The one writer of partition files: atomically write ``table``
     (internal rows) as ``part=K/epoch-N.parquet`` — a full snapshot — or,
@@ -406,9 +402,7 @@ def write_partition_snapshot(
     SURVEY P9)."""
     kind = "delta" if delta else "epoch"
     rel = f"part={part:04d}/{kind}-{epoch:06d}.parquet"
-    size = atomic_write_table(table, Path(table_dir) / rel,
-                              compression=compression,
-                              row_group_size=row_group_size)
+    size = atomic_write_table(table, Path(table_dir) / rel)
     bounds = pc.min_max(table.column("doc_id"))
     live = None if delta else int(
         pc.sum(pc.invert(table[INTERNAL_DELETED])).as_py() or 0)
@@ -462,25 +456,25 @@ def staged_exchange(
     write_mode: str = "cow",
     part_files: dict[int, list[str]] | None = None,
     min_lsn_exclusive: int | None = None,
-    progress_counter=None,
     t0: float | None = None,
 ):
     """Rewrite the partitions ``source`` touches as epoch ``epoch`` — the
-    one way the engine moves rows into partition files (ingest, lake
-    init, repartition). ``source`` is either a list of change-log
-    segment pieces (``segment_pieces``; ingest), staged by one plain Ray
-    task each, or a Dataset of ``prep`` rows (lake init, repartition),
-    staged by ``map_batches``. In order: clear the epoch's staging dir
-    (crash leftovers), run phase 1 over ``source`` (collecting its stats
-    rows is the barrier), then phase 2 over the touched partitions;
-    yield an ``ExchangeResult``.
+    one way the engine routes rows to partitions (ingest, distributed
+    lake init, repartition); ``init_lake``, ``compact`` and
+    ``compact_deltas`` write partition files through
+    ``write_partition_snapshot`` without it. ``source`` is either a
+    list of change-log segment pieces (``segment_pieces``; ingest),
+    staged by one plain Ray task each, or a Dataset of ``prep`` rows
+    (lake init, repartition), staged by ``map_batches``. In order: clear
+    the epoch's staging dir (crash leftovers), run phase 1 over
+    ``source`` (collecting its stats rows is the barrier), then phase 2
+    over the touched partitions; yield an ``ExchangeResult``.
 
     The caller commits inside the ``with`` block. The staging dir is
     removed when the block exits normally and kept when it raises (a
     crash before the commit leaves it for inspection; the next attempt
-    at the same epoch clears it first). ``cfg`` supplies batch size and
-    the parquet settings; ``t0`` backdates the setup phase to the
-    caller's start."""
+    at the same epoch clears it first). ``cfg`` supplies the batch size;
+    ``t0`` backdates the setup phase to the caller's start."""
     import shutil
 
     from rfb_cnpj_etl_ray.stages.exchange import run_tasks
@@ -493,7 +487,6 @@ def staged_exchange(
     stage_fn = make_stage_partitioner(
         payload_schema, num_partitions, str(staging), prep=prep,
         min_lsn_exclusive=min_lsn_exclusive, worker_threads=threads,
-        progress_counter=progress_counter,
     )
     t_stage = time.perf_counter()
     # stats are tiny (batches × touched parts)
@@ -514,7 +507,6 @@ def staged_exchange(
     rows = run_tasks(make_partition_fold(
         str(table_dir), str(staging), epoch, part_files or {},
         schema_to_jsonable(payload_schema),
-        compression=cfg.compression, row_group_size=cfg.row_group_size,
         write_mode=write_mode, worker_threads=threads,
     ), [{"part": p} for p in touched], num_cpus=task_cpus)
     t_end = time.perf_counter()

@@ -30,6 +30,7 @@ Lake layout (resumable output, SURVEY.md §4):
 from __future__ import annotations
 
 import json
+import logging
 import os
 import uuid
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ from rfb_cnpj_etl_ray.spec import (
     schema_to_jsonable,
 )
 
+logger = logging.getLogger(__name__)
+
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + f".tmp-{uuid.uuid4().hex[:8]}")
@@ -53,16 +56,17 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def atomic_write_table(table: pa.Table, path: Path, compression: str = "zstd",
-                       row_group_size: int = 64 * 1024) -> int:
+def atomic_write_table(table: pa.Table, path: Path) -> int:
     """Write parquet to a temp name then atomically rename; returns bytes.
+    Every partition file is zstd in row groups of 64Ki rows (the bound
+    on a reader's memory per row group).
 
     Idempotent under task retry: two attempts computing the same
     deterministic content race only on the final ``os.replace``, which is
     atomic and last-writer-wins with identical bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{uuid.uuid4().hex[:8]}")
-    pq.write_table(table, tmp, compression=compression, row_group_size=row_group_size)
+    pq.write_table(table, tmp, compression="zstd", row_group_size=64 * 1024)
     size = os.path.getsize(tmp)
     os.replace(tmp, path)
     return size
@@ -260,7 +264,9 @@ class CommitLog:
         and return its record. ``partitions`` comes from
         :func:`next_partitions`. Fields left out carry over from the
         parent: partition count, payload schema, applied segments and the
-        compaction watermark."""
+        compaction watermark. Logs one INFO line with the table, the
+        epoch and the scalar metrics (lists such as the epoch's segment
+        names are left out)."""
         if parent is not None:
             num_partitions = num_partitions or parent.num_partitions
             schema = parent.schema if schema is None else schema
@@ -279,6 +285,9 @@ class CommitLog:
         if watermark is not None:
             record["compaction_watermark"] = watermark
         self.append(record)
+        logger.info("%s: committed epoch %d %s", record["table"],
+                    record["epoch"], {k: v for k, v in metrics.items()
+                                      if not isinstance(v, list)})
         return record
 
     def append(self, record: dict) -> Path:
@@ -314,7 +323,6 @@ def init_lake(
     spec: TableSpec,
     base: pa.Table | None = None,
     num_partitions: int = 32,
-    compression: str = "zstd",
 ) -> CommitLog:
     """Create the partitioned lake table and commit epoch 0.
 
@@ -360,7 +368,7 @@ def init_lake(
     rows = [
         write_partition_snapshot(
             sorted_tbl.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p])),
-            table_dir, p, 0, compression=compression)
+            table_dir, p, 0)
         for p in range(num_partitions)
     ]
     log.commit_next(None, next_partitions(None, rows, "fold"),

@@ -6,6 +6,9 @@ crash-restart resume, out-of-order segment arrival, and phase-1 segment
 pieces (packed small segments, empty and older-schema segments).
 """
 
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -14,6 +17,7 @@ import pytest
 from rfb_cnpj_etl_ray.config import EngineConfig
 from rfb_cnpj_etl_ray.oracle import assert_states_equal, replay
 from rfb_cnpj_etl_ray.pipelines.ingest import ingest, read_lake, read_lake_table
+from rfb_cnpj_etl_ray.pipelines.maintenance import compact_deltas
 from rfb_cnpj_etl_ray.spec import (
     CHANGE_SCHEMA,
     PAYLOAD_SCHEMA,
@@ -146,9 +150,10 @@ def test_segment_pieces_pack_segments_and_skip_empty(ray_session, tmp_path):
     """One epoch of four segments: 1,000 events carrying an evolved
     ``lang`` column, a 0-row segment, 150 more ``lang`` events, and an
     older-schema segment of 200 events without ``lang``. At
-    ``batch_size=250`` the big segment is a piece of its own, the two
+    ``batch_size=400`` the big segment is a piece of its own, the two
     small ones share one (so a staged batch spans both schema versions),
-    the empty one is in none, and the lake matches the oracle."""
+    the empty one is in none, and the lake matches the oracle. Pieces of
+    small segments never hold more than ``batch_size`` rows."""
     rng = np.random.default_rng(63)
 
     def with_lang(t):
@@ -171,12 +176,19 @@ def test_segment_pieces_pack_segments_and_skip_empty(ray_session, tmp_path):
     manifest_from_dir(log_dir)
 
     metas = {p: pq.read_metadata(p) for p in paths}
-    assert segment_pieces(metas, 250) == [[paths[0]], [paths[2], paths[3]]]
+    assert segment_pieces(metas, 400) == [[paths[0]], [paths[2], paths[3]]]
+    sizes = {f"s{k}": SimpleNamespace(num_rows=int(n)) for k, n in
+             enumerate(rng.integers(0, 400, 60))}
+    pieces = segment_pieces(sizes, 400)
+    assert [s for piece in pieces for s in piece] == [
+        s for s, m in sizes.items() if m.num_rows]
+    assert all(sum(sizes[s].num_rows for s in piece) <= 400
+               for piece in pieces)
 
     lake = tmp_path / "lake"
     init_lake(lake, SPEC, base=base, num_partitions=4)
     report = ingest(lake, log_dir,
-                    cfg=EngineConfig(num_partitions=4, batch_size=250))
+                    cfg=EngineConfig(num_partitions=4, batch_size=400))
     assert report["events_read"] == 1350
     schema = evolve_schema(CHANGE_SCHEMA, big.schema)
     events = pa.concat_tables(
@@ -204,13 +216,29 @@ def test_commit_log_carries_metrics_and_lineage(ray_session, tmp_path):
     assert touched and all("lsn_high" in p for p in touched)
 
 
-def test_progress_reporter_lines(ray_session, tmp_path, capfd):
-    """cfg.progress=True renders live percent/rate lines and a final
-    summary without touching the result."""
-    import io
+def test_each_commit_logs_one_info_line(ray_session, tmp_path, caplog):
+    """Every commit logs one INFO record on the package logger naming
+    the epoch and its scalar metrics (no segment lists); a no-op
+    re-ingest logs none."""
+    caplog.set_level(logging.INFO, logger="rfb_cnpj_etl_ray")
 
-    base, events, log_dir, lake, cfg = _setup(tmp_path, progress=True)
+    def records():
+        got = [r for r in caplog.records
+               if r.name.startswith("rfb_cnpj_etl_ray")]
+        caplog.clear()
+        return got
+
+    base, events, log_dir, lake, cfg = _setup(tmp_path, write_mode="delta")
+    assert len(records()) == 1  # init_lake's epoch 0
     ingest(lake, log_dir, cfg=cfg)
-    err = capfd.readouterr().err
-    assert "done:" in err and "events" in err
-    assert_states_equal(replay(base, events), read_lake_table(lake))
+    (rec,) = records()
+    msg = rec.getMessage()
+    assert rec.levelno == logging.INFO
+    assert "epoch 1 " in msg and "'events_read': 3000" in msg
+    assert "segments_this_epoch" not in msg
+    assert ingest(lake, log_dir, cfg=cfg)["noop"]
+    assert records() == []
+    assert compact_deltas(lake, min_delta_ratio=0.0)["partitions_folded"]
+    (rec,) = records()
+    assert "epoch 2 " in rec.getMessage()
+    assert "'partitions_folded'" in rec.getMessage()

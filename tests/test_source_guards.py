@@ -7,6 +7,8 @@ library's ``ast`` so they need no linter.
 * No module imports ``ray.data.aggregate``: every aggregate folds
   through ``stages.exchange.tree_fold`` (low-cardinality keys) or
   ``stages.exchange.aggregate_by`` (high-cardinality keys).
+* No class is a Ray actor (decorated with ``ray.remote``): the engine
+  runs on plain tasks only.
 """
 
 from __future__ import annotations
@@ -84,3 +86,14 @@ def test_no_module_imports_ray_data_aggregate():
                    or n.startswith("ray.data.aggregate.") for n in names):
                 found.append(f"{rel}:{node.lineno}")
     assert found == [], "imports of ray.data.aggregate:\n" + "\n".join(found)
+
+
+def test_no_actor_classes():
+    found = []
+    for rel, _, tree in _modules():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for dec in cls.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if ast.unparse(target) in ("ray.remote", "remote"):
+                    found.append(f"{rel}:{cls.lineno} {cls.name}")
+    assert found == [], "ray.remote actor classes:\n" + "\n".join(found)
