@@ -573,12 +573,16 @@ def lookup(
     table: str = "sequences",
 ) -> pa.Table:
     """Point lookups without a scan: hash each key to its partition, prune
-    further by the commit record's doc_id zone maps, fold only the files
-    of the partitions actually hit. The engine's secondary-index analog
+    further by the commit record's doc_id zone maps, then read the hit
+    partitions with ``stages.merge.read_keys``: row groups whose doc_id
+    statistics exclude every wanted key are skipped, the rest give up
+    their key columns only, and a payload row group is read only where a
+    key's live winner sits. The engine's secondary-index analog
     (reference builds 18 B-tree indexes instead, sqlite_builder.py:127-168).
-    Driver-side: O(|hit partitions|) file reads, no Ray job."""
+    Driver-side: cost grows with the row groups that can hold the keys,
+    not with the size of the partitions; no Ray job."""
     from rfb_cnpj_etl_ray.hashing import partition_ids
-    from rfb_cnpj_etl_ray.stages.merge import load_partition_state
+    from rfb_cnpj_etl_ray.stages.merge import read_keys
 
     snap = CommitLog(Path(lake_dir) / table).snapshot()
     int_sch = internal_schema(snap.schema)
@@ -594,13 +598,8 @@ def lookup(
         wanted.setdefault(int(p), []).append(d)
     hits = []
     for p, keys in wanted.items():
-        state = load_partition_state(str(snap.table_dir),
-                                     snap.files.get(p, []), int_sch)
-        import pyarrow.compute as pc_
-
-        sel = state.filter(pc_.is_in(state.column("doc_id"),
-                                     value_set=pa.array(keys)))
-        hits.append(strip_internal(sel))
+        hits.append(strip_internal(read_keys(
+            str(snap.table_dir), snap.files.get(p, []), int_sch, keys)))
     if not hits:
         return snap.schema.empty_table()
     return pa.concat_tables(hits).sort_by([("doc_id", "ascending")])

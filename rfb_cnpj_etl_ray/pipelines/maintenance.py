@@ -245,15 +245,20 @@ def compact_deltas(
         deltas = v.get("deltas", [])
         if not deltas:
             continue
-        base_file = v.get("file")
-        # size the tier from parquet FOOTER row counts (driver-side
-        # metadata stats; one small read per candidate partition — only
-        # partitions that actually carry deltas are opened)
-        base_rows = (
-            pq_.read_metadata(table_dir / base_file).num_rows
-            if base_file is not None else 0
-        )
-        d_rows = sum(pq_.read_metadata(table_dir / d).num_rows for d in deltas)
+        if "base_rows" in v:
+            # the entry's physical rows are base + deltas
+            base_rows = v["base_rows"]
+            d_rows = v["rows"] - base_rows
+        else:
+            # committed before entries carried base_rows: size the tier
+            # from the Parquet footers
+            base_file = v.get("file")
+            base_rows = (
+                pq_.read_metadata(table_dir / base_file).num_rows
+                if base_file is not None else 0
+            )
+            d_rows = sum(pq_.read_metadata(table_dir / d).num_rows
+                         for d in deltas)
         if d_rows < min_delta_rows:
             continue
         if base_rows and d_rows < min_delta_ratio * base_rows:

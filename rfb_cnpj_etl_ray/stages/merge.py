@@ -308,20 +308,93 @@ def load_partition_state(
 ) -> pa.Table:
     """Materialize one partition's logical state: fold the base snapshot
     plus any delta files (merge-on-read) with the LWW reduce. With a
-    single (cow) snapshot this is just a conforming read."""
+    single (cow) snapshot this is just a conforming read. Each file is
+    read through ``pq.ParquetFile``: ``pq.read_table``'s dataset layer
+    costs about 0.6 ms more per small file for the same table."""
     import os
 
     import pyarrow.parquet as pq
 
-    tables = [
-        conform_table(pq.read_table(os.path.join(table_dir, rel)), int_sch)
-        for rel in rels
-    ]
+    tables = []
+    for rel in rels:
+        with pq.ParquetFile(os.path.join(table_dir, rel)) as pf:
+            tables.append(conform_table(pf.read(), int_sch))
     if not tables:
         return int_sch.empty_table()
     if len(tables) == 1:
         return tables[0]
     return lww_reduce(pa.concat_tables(tables))
+
+
+def read_keys(table_dir: str, rels: list[str], int_sch: pa.Schema,
+              keys: list[str]) -> pa.Table:
+    """The live LWW winners of ``keys`` in one partition (files ``rels``
+    = [base, *deltas]), as internal rows in ``doc_id`` order: the rows of
+    ``load_partition_state`` filtered to ``keys``, without decoding the
+    whole partition.
+
+    1. prune: skip each row group whose ``doc_id`` statistics prove it
+       holds none of ``keys`` (a row group without statistics is read);
+    2. key pass: read ``doc_id``/``_lsn``/``_deleted`` of the remaining
+       row groups, keep the rows of ``keys`` tagged with their file, row
+       group and row, and pick each key's winner as ``lww_reduce`` does;
+    3. payload pass: read each row group that holds a live winner once
+       at full width and take the winners' rows. Tombstone winners need
+       no payload.
+
+    Reads run without Arrow's thread pool: at a few thousand rows the
+    handoff costs more than it saves."""
+    import bisect
+    import os
+    from contextlib import ExitStack
+
+    import pyarrow.parquet as pq
+
+    want = sorted(set(keys))
+    if not want or not rels:
+        return int_sch.empty_table()
+    # the surviving row groups as (file, row group), their key columns
+    groups, key_tables = [], []
+    with ExitStack() as stack:
+        files = [stack.enter_context(pq.ParquetFile(os.path.join(table_dir, r)))
+                 for r in rels]
+        for fi, pf in enumerate(files):
+            meta = pf.metadata
+            # by path: the nested ``tokens`` column has a leaf of its own,
+            # so the Arrow field index is not the column-chunk index
+            leaf = next(i for i in range(meta.num_columns)
+                        if meta.schema.column(i).path == "doc_id")
+            for rg in range(meta.num_row_groups):
+                st = meta.row_group(rg).column(leaf).statistics
+                if st is not None and st.has_min_max:
+                    i = bisect.bisect_left(want, st.min)
+                    if i == len(want) or want[i] > st.max:
+                        continue
+                groups.append((fi, rg))
+                key_tables.append(pf.read_row_group(
+                    rg, columns=["doc_id", INTERNAL_LSN, INTERNAL_DELETED],
+                    use_threads=False))
+        if not key_tables:
+            return int_sch.empty_table()
+        # a candidate's position in the concatenated key columns names
+        # its row group and its row there
+        keyed = pa.concat_tables(key_tables)
+        pos = pc.indices_nonzero(pc.is_in(
+            keyed.column("doc_id"),
+            value_set=pa.array(want, int_sch.field("doc_id").type)))
+        win = lww_reduce(keyed.take(pos).append_column("_pos", pos))
+        live = np.sort(win.filter(pc.invert(win.column(INTERNAL_DELETED)))
+                       .column("_pos").to_numpy()).astype(np.int64)
+        starts = np.cumsum([0] + [t.num_rows for t in key_tables])
+        group = np.searchsorted(starts, live, side="right") - 1
+        hit, first = np.unique(group, return_index=True)
+        out = [int_sch.empty_table()]
+        for g, rows in zip(hit, np.split(live, first[1:])):
+            fi, rg = groups[g]
+            out.append(conform_table(
+                files[fi].read_row_group(rg, use_threads=False)
+                .take(pa.array(rows - starts[g])), int_sch))
+    return pa.concat_tables(out).sort_by("doc_id")
 
 
 def make_partition_fold(

@@ -184,10 +184,19 @@ def next_partitions(prev: dict | None, rows: list[dict],
             # IS the partition's complete LWW state, so it becomes the base
             # snapshot instead of a null base that readers would crash on
             deltas = list(old.get("deltas", []))
+            # ``base_rows`` (the base file's physical rows) lets
+            # ``compact_deltas`` size the delta tier as rows - base_rows
+            # without opening a footer. An entry of an older lake has
+            # deltas but no base_rows and stays without one.
             if old.get("file") is None and not deltas:
                 base = row["file"]
+                entry["base_rows"] = row["rows"]
             else:
                 base = old["file"]
+                if not deltas:
+                    entry["base_rows"] = int(old["rows"])
+                elif "base_rows" in old:
+                    entry["base_rows"] = old["base_rows"]
                 deltas.append(row["file"])
             entry.update({
                 "file": base, "deltas": deltas,

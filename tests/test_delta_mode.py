@@ -178,3 +178,71 @@ def test_size_tiered_delta_compaction(ray_session, tmp_path):
     write_changelog_segments(extra, log_dir2, 1)
     ingest(lake, log_dir2, cfg=cfg)
     assert_states_equal(replay(expected, extra), read_lake_table(lake))
+
+
+def _delta_lake_for_tiers(tmp_path):
+    base, events, log_dir, lake, cfg, manifest = _setup(
+        tmp_path, n_docs=600, n_events=3000, n_segments=6)
+    full = manifest["segments"]
+    for upto in (2, 4, 6):
+        manifest["segments"] = full[:upto]
+        (log_dir / "manifest.json").write_text(json.dumps(manifest))
+        ingest(lake, log_dir, cfg=cfg)
+    return replay(base, events), lake
+
+
+def _folded(lake, before: dict) -> list[str]:
+    after = CommitLog(lake / "sequences").latest()["partitions"]
+    return sorted(k for k in before
+                  if before[k].get("deltas") and not after[k].get("deltas"))
+
+
+def test_compact_deltas_sizes_tiers_without_footers(ray_session, tmp_path,
+                                                    monkeypatch):
+    """Delta-mode entries carry ``base_rows``, so ``compact_deltas``
+    sizes each tier as ``rows - base_rows`` and opens no footer; an entry
+    committed without ``base_rows`` falls back to the footers and folds
+    the same partitions."""
+    import shutil
+
+    from rfb_cnpj_etl_ray.pipelines.maintenance import compact_deltas
+
+    expected, lake = _delta_lake_for_tiers(tmp_path)
+    head = CommitLog(lake / "sequences").commits()[-1]
+    before = json.loads(head.read_text())["partitions"]
+    ratios = []
+    for v in before.values():
+        if v.get("deltas"):
+            base_rows = pq.read_metadata(lake / "sequences" / v["file"]).num_rows
+            d_rows = sum(pq.read_metadata(lake / "sequences" / d).num_rows
+                         for d in v["deltas"])
+            assert (v["base_rows"], v["rows"]) == (base_rows,
+                                                   base_rows + d_rows)
+            ratios.append(d_rows / base_rows)
+    # a ratio between the partitions' tiers: some fold, some keep deltas
+    ratio = (min(ratios) + max(ratios)) / 2
+    legacy = tmp_path / "legacy"
+    shutil.copytree(lake, legacy)
+    record = json.loads(head.read_text())
+    for v in record["partitions"].values():
+        v.pop("base_rows", None)
+    (legacy / "sequences" / "_commit_log" / head.name).write_text(
+        json.dumps(record, indent=1, sort_keys=True))
+
+    footers = []
+    orig = pq.read_metadata
+
+    def read_metadata(*args, **kwargs):
+        footers.append(args[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_metadata", read_metadata)
+    assert not compact_deltas(lake, min_delta_ratio=ratio)["noop"]
+    assert footers == []
+    assert not compact_deltas(legacy, min_delta_ratio=ratio)["noop"]
+    assert footers
+    folded = _folded(lake, before)
+    assert folded and folded == _folded(legacy, before)
+    assert folded != sorted(k for k, v in before.items() if v.get("deltas"))
+    assert_states_equal(expected, read_lake_table(lake))
+    assert_states_equal(expected, read_lake_table(legacy))
