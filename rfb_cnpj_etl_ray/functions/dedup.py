@@ -593,15 +593,18 @@ def _word_poly_hashes(flat_words: np.ndarray, base: int) -> np.ndarray:
     bit-for-bit oracle claim holds on non-ASCII text too (ADVICE r2)."""
     if flat_words.size == 0:
         return np.zeros(0, dtype=np.int64)
-    enc = [w.encode("utf-32-le") for w in flat_words]
-    lens = np.array([len(e) // 4 for e in enc], dtype=np.int64)
-    arr = np.frombuffer(b"".join(enc), dtype=np.uint32).astype(np.int64)
+    # one encode for the whole buffer; a str's len is its code-point
+    # count, i.e. its UTF-32 length
+    lens = np.fromiter(map(len, flat_words), dtype=np.int64,
+                       count=len(flat_words))
+    arr = np.frombuffer("".join(flat_words).encode("utf-32-le"),
+                        dtype=np.uint32).astype(np.int64)
     maxlen = int(lens.max())
     powers = np.empty(max(maxlen, 1), dtype=np.int64)
     powers[0] = 1
     for i in range(1, maxlen):
         powers[i] = (powers[i - 1] * base) % _SH_PRIME
-    offsets = np.zeros(len(enc), dtype=np.int64)
+    offsets = np.zeros(len(flat_words), dtype=np.int64)
     np.cumsum(lens[:-1], out=offsets[1:])
     ends = offsets + lens
     exp = np.repeat(ends, lens) - 1 - np.arange(len(arr))

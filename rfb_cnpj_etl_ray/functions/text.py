@@ -9,8 +9,11 @@ its tokens from the same two functions. The
 reference has no text stages; these are the north-rule additions a
 100 TB training-data pipeline needs (language-ID, quality scoring, token
 counting, fingerprinting), built with the same stage patterns as the CDC
-engine: stateless map_batches tasks, side inputs broadcast through
-``stages.exchange.fetch``, per-block partials combined by
+engine. Per-document outputs are stateless map_batches tasks, with side
+inputs broadcast through ``stages.exchange.fetch``. A corpus aggregate
+that folds per-batch partials of ``documents`` is one
+``stages.exchange.fold_parquet`` (plain tasks per row group, no
+Dataset); partials that come out of an exchange fold through
 ``stages.exchange.tree_fold``. No operator here starts an actor.
 """
 
@@ -27,7 +30,12 @@ import pyarrow.compute as pc
 import ray.data
 
 from rfb_cnpj_etl_ray.hashing import partition_ids
-from rfb_cnpj_etl_ray.stages.exchange import fetch, sum_by, tree_fold
+from rfb_cnpj_etl_ray.stages.exchange import (
+    fetch,
+    fold_parquet,
+    sum_by,
+    tree_fold,
+)
 
 #: RE2's ``\s`` (DuckDB's regex engine, so the whitespace of every SQL
 #: twin) is the space plus these four ASCII controls and nothing else;
@@ -110,23 +118,44 @@ def _read_docs(sf_dir: str, columns=None):
     return read_table(f"{sf_dir}/documents.parquet", columns=columns)
 
 
+def _fold_docs(sf_dir: str, columns: list[str], partial, combine,
+               finish=None):
+    """``fold_parquet`` over ``documents``: a per-batch ``partial`` folded
+    by ``combine`` (then ``finish``) in plain tasks, with no Dataset."""
+    return fold_parquet(f"{sf_dir}/documents.parquet", columns, partial,
+                        combine, finish)
+
+
 #: hash buckets of ``_topk_by_count``'s keyed fold: each bucket's keys
 #: are folded by one task, so a vocabulary wider than one worker's heap
 #: still splits across this many
 _TOPK_BUCKETS = 8
 
 
+def _sum_counts(key: str):
+    """Fold combine for (key, n) string counts: sum ``n`` per key with
+    Arrow's ``group_by``. pandas would group through its C-string hash
+    table, which merges a key with a trailing NUL into the same key
+    without it; DuckDB keeps them apart, and so does Arrow."""
+
+    def combine(df: pd.DataFrame) -> pa.Table:
+        g = pa.table({key: pa.array(df[key], pa.string()),
+                      "n": pa.array(df["n"], pa.int64())}
+                     ).group_by(key).aggregate([("n", "sum")])
+        return pa.table({key: g.column(key), "n": g.column("n_sum")})
+
+    return combine
+
+
 def _sum_topk(key: str, k: int):
     """Fold of (key, n) partial rows: sum per key, keep the k largest
     (count desc, key asc). Associative over disjoint or repeated keys,
     so it is both the per-bucket fold and the ``tree_fold`` combine."""
+    sum_n = _sum_counts(key)
 
     def fold(df: pd.DataFrame) -> pa.Table:
-        g = (df.groupby(key, as_index=False)["n"].sum()
-             .sort_values(["n", key], ascending=[False, True],
-                          kind="stable").head(k))
-        return pa.table({key: pa.array(g[key], pa.string()),
-                         "n": pa.array(g["n"], pa.int64())})
+        return sum_n(df).sort_by([("n", "descending"),
+                                  (key, "ascending")]).slice(0, k)
 
     return fold
 
@@ -452,16 +481,15 @@ FROM documents
 
 def length_histogram(sf_dir: str):
     """Document-length histogram (100-char buckets): per-batch partial
-    counts, summed by ``tree_fold`` — the schema-profiling aggregate."""
-    ds = _read_docs(sf_dir, ["n_chars"])
+    counts, summed by ``fold_parquet`` — the schema-profiling aggregate."""
 
     def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
         b = (batch["n_chars"] // 100).astype("int64")
         out = b.value_counts().rename_axis("bucket").reset_index(name="n_docs")
         return out
 
-    partials = ds.map_batches(bucketize, batch_format="pandas")
-    return tree_fold(partials, sum_by(["bucket"], "n_docs"))
+    return _fold_docs(sf_dir, ["n_chars"], bucketize,
+                      sum_by(["bucket"], "n_docs"))
 
 
 LENGTH_HISTOGRAM_SQL = """
@@ -558,7 +586,7 @@ TOP_TOKENS_K = 50
 def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
     """Global top-K most frequent tokens — the corpus-curation heavy
     hitter report. Scale shape: counts pre-aggregate inside map_batches
-    (one np.unique per batch over the flat word buffer), so the groupby
+    (one ``value_counts`` per batch over the flat word buffer), so the groupby
     shuffle moves ≤|block vocabulary| rows per block, never one row per
     token occurrence; the final sort runs over |vocab| rows and limit
     prunes."""
@@ -575,15 +603,17 @@ def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
 def _batch_token_counts(batch: pd.DataFrame
                         ) -> "tuple[np.ndarray, np.ndarray]":
     """(distinct lowercased tokens, counts) of a batch via one flat
-    word buffer + np.unique — the shared counting kernel of
+    word buffer + one pandas ``value_counts`` (hash-based, so a token
+    with a trailing NUL stays its own token, as in DuckDB; NumPy's
+    fixed-width strings would drop the NUL) — the shared counting kernel of
     ``top_tokens`` and ``certified_topk_tokens`` (their equality is the
     latter's contract, so they must tokenize identically by
     construction). Empty batches yield two empty arrays."""
     flat, counts = _words(batch["text"])
     if not counts.sum():
         return (np.array([], dtype=object), np.array([], dtype=np.int64))
-    tok, cnt = np.unique(flat.astype(str), return_counts=True)
-    return tok.astype(object), cnt.astype(np.int64)
+    vc = pd.Series(flat).value_counts(sort=False)
+    return vc.index.to_numpy(dtype=object), vc.to_numpy(dtype=np.int64)
 
 
 TOP_TOKENS_SQL = f"""
@@ -696,7 +726,7 @@ def tfidf_top_terms(sf_dir: str):
     Two streaming passes, the canonical small-side-broadcast shape:
 
     1. **df pass** — per batch, distinct (doc, word) pairs reduce to
-       partial document frequencies; ``tree_fold`` sums them. The
+       partial document frequencies; ``fold_parquet`` sums them. The
        vocabulary is sub-linear in corpus size (bounded by the
        language, ~10^7 terms at 100 TB), so the resulting idf map is a
        broadcast table (``ray.put`` once, ``fetch``ed once per worker
@@ -714,9 +744,9 @@ def tfidf_top_terms(sf_dir: str):
     diverge between numpy and SQL.
     """
     import ray
+    import pyarrow.parquet as pq
 
-    docs = _read_docs(sf_dir, ["doc_id", "text"])
-    n_docs = docs.count()
+    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         doc_rep, flat = _doc_words(batch)
@@ -729,8 +759,8 @@ def tfidf_top_terms(sf_dir: str):
         g["df"] = g["df"].astype("int64")
         return g
 
-    df_tbl = tree_fold(docs.map_batches(df_partial, batch_format="pandas"),
-                       sum_by(["w"], "df")).to_pandas()
+    df_tbl = _fold_docs(sf_dir, ["doc_id", "text"], df_partial,
+                        sum_by(["w"], "df")).to_pandas()
     idf = {} if df_tbl.empty else {
         w: (n_docs * _IDF_SCALE) // int(d)
         for w, d in zip(df_tbl["w"], df_tbl["df"])}
@@ -755,7 +785,8 @@ def tfidf_top_terms(sf_dir: str):
                              "top_term": out["w"],
                              "score": out["score"].astype("int64")})
 
-    return docs.map_batches(score, batch_format="pandas")
+    return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        score, batch_format="pandas")
 
 
 TFIDF_TOP_TERMS_SQL = f"""
@@ -846,7 +877,7 @@ def bigram_topk(sf_dir: str, k: int = BIGRAM_K):
     """Global top-K adjacent word pairs — phrase-level heavy hitters
     (``top_tokens``'s unigram report misses collocations). Scale shape:
     bigrams never cross documents, so the per-batch partial is one
-    ``_ngrams`` pass + ``np.unique`` over the joined pairs;
+    ``_ngrams`` pass + one ``value_counts`` over the joined pairs;
     the shuffle moves ≤|block bigram vocabulary| rows per block, and the
     per-block fold keeps k rows so the final sort sees k×#blocks."""
 
@@ -855,8 +886,9 @@ def bigram_topk(sf_dir: str, k: int = BIGRAM_K):
         if not len(pairs):
             return pd.DataFrame({"bigram": pd.Series([], dtype="object"),
                                  "n": pd.Series([], dtype="int64")})
-        bg, cnt = np.unique(pairs.astype(str), return_counts=True)
-        return pd.DataFrame({"bigram": bg, "n": cnt.astype(np.int64)})
+        vc = pd.Series(pairs).value_counts(sort=False)
+        return pd.DataFrame({"bigram": vc.index.to_numpy(dtype=object),
+                             "n": vc.to_numpy(dtype=np.int64)})
 
     ds = _read_docs(sf_dir, ["text"]).map_batches(
         partial, batch_format="pandas")
@@ -1088,7 +1120,7 @@ def source_mix_sample(sf_dir: str, k: int = MIX_TOTAL):
     x < 2^52, so engine and oracle compute identical budgets.
 
     Scale shape: the budget pass is a partial per-batch groupby over
-    ~#sources rows summed by ``tree_fold`` (driver holds one row per
+    ~#sources rows summed by ``fold_parquet`` (driver holds one row per
     source — the dimension contract); selection is one keyed exchange
     on ``source`` + a per-block vectorized rank, the
     ``stratified_sample`` pattern."""
@@ -1100,10 +1132,8 @@ def source_mix_sample(sf_dir: str, k: int = MIX_TOTAL):
         g = batch.groupby("source", as_index=False)["n_chars"].sum()
         return g.rename(columns={"n_chars": "chars"})
 
-    masses = tree_fold(
-        _read_docs(sf_dir, ["source", "n_chars"])
-        .map_batches(mass, batch_format="pandas"),
-        sum_by(["source"], "chars"),
+    masses = _fold_docs(
+        sf_dir, ["source", "n_chars"], mass, sum_by(["source"], "chars"),
     ).to_pandas()  # one row per source: bounded like every dimension broadcast
     w = {} if masses.empty else {
         s: math.isqrt(int(c))
@@ -1344,8 +1374,8 @@ def _corpus_token_counts(sf_dir: str):
     """Global (token, count) map over lowercased whitespace tokens, as a
     plain dict — per-batch ``_batch_token_counts`` partials (the
     ``top_tokens`` kernel, so every consumer tokenizes alike by
-    construction) pre-aggregate to ≤|block vocab| rows per block and
-    ``tree_fold`` sums them. The result is sub-linear in corpus size
+    construction) pre-aggregate to ≤|batch vocab| rows per batch and
+    ``fold_parquet`` sums them. The result is sub-linear in corpus size
     (bounded by the language's vocabulary), so it is a broadcastable
     small side, the same contract as ``tfidf_top_terms``'s idf map."""
 
@@ -1354,9 +1384,8 @@ def _corpus_token_counts(sf_dir: str):
         return pd.DataFrame({"token": pd.Series(tok, dtype="object"),
                              "n": pd.Series(cnt, dtype="int64")})
 
-    tbl = tree_fold(_read_docs(sf_dir, ["text"])
-                    .map_batches(partial, batch_format="pandas"),
-                    sum_by(["token"], "n")).to_pandas()
+    tbl = _fold_docs(sf_dir, ["text"], partial,
+                     _sum_counts("token")).to_pandas()
     if tbl.empty:
         return {}
     return dict(zip(tbl["token"], (int(x) for x in tbl["n"])))
@@ -1470,12 +1499,12 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
             return pd.DataFrame({"l": pd.Series([], dtype="object"),
                                  "r": pd.Series([], dtype="object"),
                                  "n": pd.Series([], dtype="int64")})
-        # one np.unique over the joined pair key, then split back — the
-        # separator cannot appear inside \S+ tokens
-        pair, cnt = np.unique(pairs.astype(str), return_counts=True)
-        lr = np.char.partition(pair, " ")
-        return pd.DataFrame({"l": lr[:, 0], "r": lr[:, 2],
-                             "n": cnt.astype(np.int64)})
+        # one value_counts over the joined pair key, then split back —
+        # the separator cannot appear inside \S+ tokens
+        vc = pd.Series(pairs).value_counts(sort=False)
+        lr = vc.index.to_series().str.partition(" ")
+        return pd.DataFrame({"l": lr[0].to_numpy(), "r": lr[2].to_numpy(),
+                             "n": vc.to_numpy(dtype=np.int64)})
 
     out_schema = pa.schema([("bigram", pa.string()),
                             ("pmi_ppm", pa.int64()), ("n", pa.int64())])
@@ -1635,7 +1664,7 @@ FROM documents GROUP BY 1
 # ---------------------------------------------------------------------------
 # histogram-sketch quantiles — the mergeable fixed-bin alternative to a
 # global sort for order statistics at 100 TB: every batch reduces to a
-# ≤ |source|×bins count vector, ``tree_fold`` sums them, and the
+# ≤ |source|×bins count vector, ``fold_parquet`` sums them, and the
 # quantile answer is the lower edge of the bin holding the ceil(q·n)-th
 # element (exactly ``quantile_disc`` over the binned values, so a DuckDB
 # oracle pins it). Same family as ``quantity_quantiles`` (exact,
@@ -1660,9 +1689,6 @@ def token_length_histogram(sf_dir: str):
         return part.groupby(["source", "bin"], as_index=False).agg(
             cnt=("bin", "size"))
 
-    partials = _read_docs(sf_dir, ["source", "text"]).map_batches(
-        bin_partial, batch_format="pandas")
-
     def quantiles(folded: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for src, g in folded.groupby("source", sort=True):
@@ -1677,7 +1703,8 @@ def token_length_histogram(sf_dir: str):
         return pd.DataFrame(
             rows, columns=["source"] + [name for _, _, name in _TOKLEN_QS])
 
-    return tree_fold(partials, sum_by(["source", "bin"], "cnt"), quantiles)
+    return _fold_docs(sf_dir, ["source", "text"], bin_partial,
+                      sum_by(["source", "bin"], "cnt"), quantiles)
 
 
 TOKEN_LENGTH_HISTOGRAM_SQL = f"""
@@ -1730,8 +1757,8 @@ def cms_token_counts(sf_dir: str):
     stopword query set. Per batch: flatten tokens, hash once, bincount
     each of the 4 pairwise-permuted rows (≤ 4×1024 counter rows per
     block) plus hash-equality exact partials for the 10 query tokens
-    (tagged row = -1 in the same partial stream); ``tree_fold`` sums the
-    grid and its root takes the per-token min across rows. cms_count ≥
+    (tagged row = -1 in the same partial stream); ``fold_parquet`` sums
+    the grid and its root takes the per-token min across rows. cms_count ≥
     exact_count always (one-sided CMS error), and both engines
     reproduce both columns bit-for-bit. NB exact_count counts HASH
     matches (identical definition in the SQL); at vocabulary scales
@@ -1763,9 +1790,6 @@ def cms_token_counts(sf_dir: str):
                                  "cnt": pd.Series([], dtype="int64")})
         return pd.concat(frames, ignore_index=True)
 
-    partials = _read_docs(sf_dir, ["text"]).map_batches(
-        partial, batch_format="pandas")
-
     def finish(folded: pd.DataFrame) -> pd.DataFrame:
         grid = {(int(r), int(b)): int(c) for r, b, c in
                 folded[folded["row"] >= 0].itertuples(index=False)}
@@ -1780,7 +1804,8 @@ def cms_token_counts(sf_dir: str):
         return pd.DataFrame(rows, columns=["token", "cms_count",
                                            "exact_count"])
 
-    return tree_fold(partials, sum_by(["row", "bucket"], "cnt"), finish)
+    return _fold_docs(sf_dir, ["text"], partial,
+                      sum_by(["row", "bucket"], "cnt"), finish)
 
 
 _CMS_POLY_SQL = (
@@ -1877,8 +1902,8 @@ def bloom_decontaminate(sf_dir: str):
     reproduces the same bitmap exactly.
 
     Scale shape: the build pass emits ONE packed 128 KB bitmap row per
-    batch (constant, whatever the batch holds) which ``tree_fold`` ORs
-    in tasks; only the root bitmap reaches the driver, and the root
+    batch (constant, whatever the batch holds) which ``fold_parquet``
+    ORs in tasks; only the root bitmap reaches the driver, and the root
     warns when the filter is over ``_BLOOM_FILL_WARN`` full. The probe
     pass is a stateless task over the unpacked bitmap from ``ray.put``
     (``fetch``ed once per worker process, never re-shipped per batch)
@@ -1912,8 +1937,8 @@ def bloom_decontaminate(sf_dir: str):
         _bloom_fill_check(np.frombuffer(df["bits"].iloc[0], dtype=np.uint8))
         return df
 
-    root = tree_fold(_read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        val_bits, batch_format="pandas"), or_bits, check_fill).to_pandas()
+    root = _fold_docs(sf_dir, ["doc_id", "text"], val_bits, or_bits,
+                      check_fill).to_pandas()
     bitmap = (np.frombuffer(root["bits"].iloc[0], dtype=np.uint8)
               if len(root) else np.zeros(_BLOOM_M // 8, dtype=np.uint8))
     bits_ref = ray.put(np.unpackbits(bitmap).astype(bool))
@@ -1981,12 +2006,12 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
     """Exact global top-k tokens WITHOUT shuffling the vocabulary: pass
     1 keeps each batch's local top-``_CTK_C`` tokens plus that batch's
     exclusion threshold τ (the largest count it dropped); any token
-    outside the candidate union has global count ≤ Στ. ``tree_fold``
+    outside the candidate union has global count ≤ Στ. ``fold_parquet``
     unions the candidates and sums Στ in tasks; only that root reaches
     the driver. Pass 2 broadcasts the candidate set (``ray.put``,
     ``fetch``ed once per worker process) and re-counts ONLY candidates
     exactly, so every partial is ≤ |candidates| rows instead of |block
-    vocabulary|; a second ``tree_fold`` sums them and its root picks the
+    vocabulary|; a second ``fold_parquet`` sums them and its root picks the
     top-k and checks the certificate. The result is certified exact
     iff Στ = 0 (no batch overflowed C) or the k-th candidate count
     strictly exceeds Στ; otherwise the operator fails LOUDLY with the
@@ -2000,10 +2025,10 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
         if not len(tok):
             return pd.DataFrame({"token": pd.Series([], dtype="object"),
                                  "n": pd.Series([], dtype="int64")})
-        order = np.lexsort((tok.astype(str), -cnt))  # count desc, tok asc
+        order = np.lexsort((tok, -cnt))  # count desc, tok asc
         keep = order[:_CTK_C]
         tau = int(cnt[order[_CTK_C]]) if len(order) > _CTK_C else 0
-        out = pd.DataFrame({"token": tok[keep].astype(object),
+        out = pd.DataFrame({"token": tok[keep],
                             "n": cnt[keep].astype(np.int64)})
         # τ rides the same stream as a row with the impossible token ""
         # (``_words`` tokens are never empty)
@@ -2013,20 +2038,19 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
 
     # summing per token keeps the candidate union (counts are unused)
     # and Στ (the "" row) in one combine
-    sum_n = sum_by(["token"], "n")
-    union = tree_fold(_read_docs(sf_dir, ["text"]).map_batches(
-        local_tops, batch_format="pandas"), sum_n).to_pandas()
+    sum_n = _sum_counts("token")
+    union = _fold_docs(sf_dir, ["text"], local_tops, sum_n).to_pandas()
     if union.empty:                       # no tokens at all
-        cands, s_tau = np.array([], dtype=str), 0
+        cands, s_tau = np.array([], dtype=object), 0
     else:
         is_tau = union["token"] == ""
-        cands = np.sort(union.loc[~is_tau, "token"].to_numpy(dtype=str))
+        cands = union.loc[~is_tau, "token"].to_numpy()
         s_tau = int(union.loc[is_tau, "n"].sum())
     cand_ref = ray.put(cands)
 
     def count_candidates(batch: pd.DataFrame) -> pd.DataFrame:
         tok, cnt = _batch_token_counts(batch)
-        m = np.isin(tok.astype(str), fetch(cand_ref))  # block vocab only
+        m = pd.Series(tok).isin(fetch(cand_ref)).to_numpy()  # batch vocab
         return pd.DataFrame({"token": pd.Series(tok[m], dtype="object"),
                              "n": pd.Series(cnt[m], dtype="int64")})
 
@@ -2044,9 +2068,7 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
                 f"candidate width (_CTK_C={_CTK_C})")
         return df
 
-    partials = _read_docs(sf_dir, ["text"]).map_batches(
-        count_candidates, batch_format="pandas")
-    return tree_fold(partials, sum_n, certify)
+    return _fold_docs(sf_dir, ["text"], count_candidates, sum_n, certify)
 
 
 #: same contract, same oracle: the certificate guarantees the cheap
@@ -2068,14 +2090,14 @@ _RQ_QS = ((1, 2, "p50_chars"), (9, 10, "p90_chars"), (99, 100, "p99_chars"))
 
 def refined_quantiles(sf_dir: str):
     """Exact per-language P50/P90/P99 of ``n_chars`` WITHOUT a global
-    sort: pass 1 ``tree_fold``s a coarse fixed-width histogram (≤
+    sort: pass 1 ``fold_parquet``s a coarse fixed-width histogram (≤
     langs×1024 count rows per block — constant in corpus size) and its
     root locates, for each (lang, q), the ONE coarse bin holding the
     exact rank ``ceil(q·n)`` (exact rational ``(num·n + den − 1) // den``
     — no float product), so only ≤ langs×3 target rows reach the
     driver; pass 2 re-counts exact values ONLY inside those ≤3 target
     bins per lang (≤ 3×``_RQ_W`` distinct values per lang per block),
-    and a second ``tree_fold``'s root picks the ranked value from
+    and a second ``fold_parquet``'s root picks the ranked value from
     cumulative counts.
 
     The quantile twin of ``certified_topk_tokens``: two scans, both
@@ -2115,10 +2137,8 @@ def refined_quantiles(sf_dir: str):
         return pd.DataFrame(rows_out,
                             columns=["lang", "col", "bin", "rank_in"])
 
-    located = tree_fold(
-        _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
-            hist_partial, batch_format="pandas"),
-        sum_by(["lang", "bin"], "cnt"), locate).to_pandas()
+    located = _fold_docs(sf_dir, ["lang", "n_chars"], hist_partial,
+                         sum_by(["lang", "bin"], "cnt"), locate).to_pandas()
     if located.empty:
         return ray.data.from_pandas(pd.DataFrame({
             "lang": pd.Series([], dtype=object),
@@ -2170,10 +2190,9 @@ def refined_quantiles(sf_dir: str):
         return pd.DataFrame(rows_out, columns=["lang"] + [
             col for _, _, col in _RQ_QS])
 
-    partials = _read_docs(sf_dir, ["lang", "n_chars"]).map_batches(
-        exact_partial, batch_format="pandas")
     # the folded counts table is ≤ langs × 3 × _RQ_W rows
-    return tree_fold(partials, sum_by(["lang", "v"], "cnt"), pick)
+    return _fold_docs(sf_dir, ["lang", "n_chars"], exact_partial,
+                      sum_by(["lang", "v"], "cnt"), pick)
 
 
 REFINED_QUANTILES_SQL = """

@@ -13,10 +13,12 @@ Patterns used deliberately (SURVEY.md §1.2, §4):
   dimension tables, db_patch.py:23-57);
 * large-large joins use ``stages.joins.keyed_join`` (one keyed sort
   exchange, then one Arrow join per block);
-* aggregations pre-reduce inside ``map_batches``, then fold once:
-  low-cardinality partials through ``stages.exchange.tree_fold``,
-  high-cardinality ones through ``stages.exchange.aggregate_by`` (one
-  keyed exchange, one Arrow ``group_by`` per block);
+* aggregations pre-reduce per batch, then fold once: low-cardinality
+  partials of one table through ``stages.exchange.fold_parquet`` (plain
+  tasks, no Dataset), those out of an exchange or a join through
+  ``stages.exchange.tree_fold``; high-cardinality ones through
+  ``stages.exchange.aggregate_by`` (one keyed exchange, one Arrow
+  ``group_by`` per block);
 * everything runs on Ray tasks: no operator here starts an actor;
 * all hot-path transforms are vectorized Arrow/pandas — no per-row Python.
 
@@ -39,6 +41,7 @@ import ray.data
 from rfb_cnpj_etl_ray.stages.exchange import (
     aggregate_by,
     fetch,
+    fold_parquet,
     sum_by,
     tree_fold,
 )
@@ -48,6 +51,14 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     from rfb_cnpj_etl_ray.sources.parquet import read_table
 
     return read_table(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+def _fold(sf_dir: str, table: str, columns: list[str], partial, combine,
+          finish=None, batch_format: str = "pandas"):
+    """``fold_parquet`` over one table: a per-batch ``partial`` folded by
+    ``combine`` (then ``finish``) in plain tasks, with no Dataset."""
+    return fold_parquet(f"{sf_dir}/{table}.parquet", columns, partial,
+                        combine, finish, batch_format)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +323,14 @@ WHERE NOT EXISTS (SELECT 1 FROM nation WHERE n_nationkey = v.k)
 # ---------------------------------------------------------------------------
 
 def pricing_summary(sf_dir: str):
-    """Flagship grouped aggregate: pre-aggregate inside map_batches to
-    ~|keys| rows per block, then ``tree_fold`` the partials to one block
-    — the scale pattern for low-cardinality keys (4–6 flag/status
-    groups).
+    """Flagship grouped aggregate: pre-aggregate each batch to ~|keys|
+    rows, then fold the partials to one block (``fold_parquet``) — the
+    scale pattern for low-cardinality keys (4–6 flag/status groups).
     """
-    ds = _read(
-        sf_dir,
-        "lineitem",
-        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-         "l_discount"],
-    )
 
     def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native partial agg: zero-copy from the object store,
-        # no per-batch pandas conversion (VERDICT r2 #8)
+        # Arrow-native partial agg: no per-batch pandas conversion
+        # (VERDICT r2 #8)
         disc = pc.multiply(batch.column("l_extendedprice"),
                            pc.subtract(pa.scalar(1.0),
                                        batch.column("l_discount")))
@@ -341,12 +345,8 @@ def pricing_summary(sf_dir: str):
             ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
              "sum_disc_price", "count_order"])
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    out = tree_fold(partials, sum_by(
-        ["l_returnflag", "l_linestatus"],
-        ["sum_qty", "sum_base_price", "sum_disc_price", "count_order"]))
-
-    def finalize(batch: pa.Table) -> pa.Table:
+    def finalize(df: pd.DataFrame) -> pa.Table:
+        batch = pa.Table.from_pandas(df, preserve_index=False)
         # half_towards_infinity: integer-ratio averages land on exact
         # dyadic halves (25/8 = 3.125) where half-even diverges from
         # DuckDB ROUND (ADVICE r2 rounding pin)
@@ -367,7 +367,15 @@ def pricing_summary(sf_dir: str):
             }
         )
 
-    return out.map_batches(finalize, batch_format="pyarrow")
+    return _fold(
+        sf_dir, "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
+         "l_discount"],
+        partial,
+        sum_by(["l_returnflag", "l_linestatus"],
+               ["sum_qty", "sum_base_price", "sum_disc_price",
+                "count_order"]),
+        finalize, batch_format="pyarrow")
 
 
 PRICING_SUMMARY_SQL = """
@@ -1061,7 +1069,7 @@ FROM events GROUP BY event_type
 # exact grouped quantiles from distributed value counts — percentile over
 # 100 TB without a global sort: when the value domain is bounded (here
 # l_quantity: 50 distinct), per-batch value-count partials + one tiny
-# ``tree_fold`` sum reconstruct the exact order statistics.
+# ``fold_parquet`` sum reconstruct the exact order statistics.
 # ---------------------------------------------------------------------------
 
 _QUANTILES = (0.5, 0.9)
@@ -1070,12 +1078,11 @@ _QUANTILES = (0.5, 0.9)
 def quantity_quantiles(sf_dir: str):
     """Exact per-returnflag p50/p90 of l_quantity. Shape: per-batch
     ``value_counts`` partial (Arrow→pandas on 2 columns only) →
-    ``tree_fold`` Sum over (flag, quantity) — a ≤ groups×distinct-values
-    table — → per-flag rank selection from cumulative counts at the
-    fold's root. Discrete quantile rank is
+    ``fold_parquet`` Sum over (flag, quantity) — a ≤
+    groups×distinct-values table — → per-flag rank selection from
+    cumulative counts at the fold's root. Discrete quantile rank is
     ``ceil(q·n)`` (DuckDB ``quantile_disc`` semantics; float product is
     exact for q ∈ {.5, .9} — error < half-ulp, verified)."""
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["l_returnflag", "l_quantity"], as_index=False)
@@ -1095,9 +1102,10 @@ def quantity_quantiles(sf_dir: str):
                                            "p90_qty"])
 
     # the counts table is ≤ flags × 50 rows: fold it, pick at the root
-    return tree_fold(
-        ds.map_batches(count_partial, batch_format="pandas"),
-        sum_by(["l_returnflag", "l_quantity"], "cnt"), quantiles_block)
+    return _fold(sf_dir, "lineitem", ["l_returnflag", "l_quantity"],
+                 count_partial,
+                 sum_by(["l_returnflag", "l_quantity"], "cnt"),
+                 quantiles_block)
 
 
 QUANTITY_QUANTILES_SQL = """
@@ -1122,9 +1130,8 @@ def props_extract_stats(sf_dir: str):
     Extraction is ONE compiled-regex Arrow kernel per block
     (``pc.extract_regex`` → ``struct_field`` → cast), never a per-row
     ``json.loads``; partials reduce each block to ≤|event_type| rows
-    that ``tree_fold`` combines, so the fold moves a handful of rows per
+    that ``fold_parquet`` combines, so the fold moves a handful of rows per
     block regardless of event volume."""
-    ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def partial(batch: pa.Table) -> pa.Table:
         m = pc.extract_regex(batch.column("props"), _PROPS_K_RE)
@@ -1140,9 +1147,8 @@ def props_extract_stats(sf_dir: str):
             n_with_k=("n_with_k", "sum"), sum_k=("sum_k", "sum"),
             min_k=("min_k", "min"), max_k=("max_k", "max"))
 
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True)
-    return tree_fold(partials, combine)
+    return _fold(sf_dir, "events", ["event_type", "props"], partial,
+                 combine, batch_format="pyarrow")
 
 
 PROPS_EXTRACT_STATS_SQL = r"""
@@ -1527,7 +1533,7 @@ def hll_distinct_users(sf_dir: str):
     """Approximate ``COUNT(DISTINCT user_id)`` per event_type via m=256
     HyperLogLog registers. Per batch: Knuth hash → (bucket, rank of
     leading 1 in the remaining 24 bits) → per-(type, bucket) max — a
-    ≤ |types|×256-row partial regardless of batch size. A ``tree_fold``
+    ≤ |types|×256-row partial regardless of batch size. A ``fold_parquet``
     of per-register maxima finishes the registers; the raw estimate
     floor(alpha·m²·2^25 / Σ 2^(-M_j)·2^25) is computed in exact integer
     math, with the standard small-range correction (linear counting
@@ -1537,7 +1543,6 @@ def hll_distinct_users(sf_dir: str):
     ~2^32/30 ≈ 143M distinct PER GROUP — swap in a 64-bit hash (and
     _HLL_WBITS=56) before that regime, the register algebra is
     unchanged."""
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def register_partial(df: pd.DataFrame) -> pd.DataFrame:
         from rfb_cnpj_etl_ray.functions.text import knuth_hash
@@ -1550,9 +1555,6 @@ def hll_distinct_users(sf_dir: str):
                              "bucket": bucket, "rnk": rnk})
         return part.groupby(["event_type", "bucket"], as_index=False).agg(
             rnk=("rnk", "max"))
-
-    partials = ds.map_batches(
-        register_partial, batch_format="pandas")
 
     def max_rank(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["event_type", "bucket"], as_index=False).agg(
@@ -1575,7 +1577,8 @@ def hll_distinct_users(sf_dir: str):
             rows.append((etype, est))
         return pd.DataFrame(rows, columns=["event_type", "hll_estimate"])
 
-    return tree_fold(partials, max_rank, estimate)
+    return _fold(sf_dir, "events", ["event_type", "user_id"],
+                 register_partial, max_rank, estimate)
 
 
 _HLL_LC_VALUES = ", ".join(

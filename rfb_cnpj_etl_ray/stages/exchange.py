@@ -8,9 +8,12 @@ finishes on a one-CPU cluster.
   not one Python call per group. It is Ray Data's task sort, a range
   exchange on sampled boundaries.
 * ``tree_fold`` — the fold of per-block partials over LOW-cardinality
-  keys: a task-only fan-in tree, so only the root's rows reach the
+  keys: a fan-in tree of plain tasks, so only the root's rows reach the
   driver.
-* ``sum_by`` — the ``tree_fold`` combine that sums count or revenue
+* ``fold_parquet`` — the same fold fed straight from parquet files: one
+  plain task per row group applies the per-batch partial and the first
+  combine, so a fold over one table starts no Dataset at all.
+* ``sum_by`` — the fold combine that sums count or revenue
   partials per key.
 * ``aggregate_by`` — the fold of per-block partials over HIGH-cardinality
   keys: ``repartition_by_key``, then one Arrow ``group_by`` per block.
@@ -22,10 +25,13 @@ finishes on a one-CPU cluster.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 
+import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -43,44 +49,149 @@ def repartition_by_key(ds: "ray.data.Dataset", keys: list[str]
     return ds.sort(list(keys))
 
 
-#: fan-in of one ``tree_fold`` level. Fixed: a level is one non-shuffle
-#: repartition plus one combine task per output block, so ≤ this many
-#: partial blocks (the common case) fold in a single task.
+#: fan-in of one fold level: one plain task concatenates up to this many
+#: partials and combines them, so ≤ this many partials (the common case)
+#: fold in a single task.
 FOLD_WIDTH = 16
+#: uncompressed bytes of the read columns that one ``partial`` call of
+#: ``fold_parquet`` sees: a batch is whole rows up to this size, so
+#: narrow columns fold in a few large batches and wide text stays
+#: bounded
+FOLD_BATCH_BYTES = 16 << 20
+
+
+def _task(fn, num_cpus: float = 1, **options):
+    """``fn`` as a plain Ray task with the remote args Ray Data gives its
+    own: a dead worker is retried without limit (``max_retries=-1``, plus
+    ``RaySystemError`` raised from task code), while an application
+    error runs once and reaches the caller as its own type."""
+    return ray.remote(
+        num_cpus=num_cpus, max_retries=-1, scheduling_strategy="SPREAD",
+        retry_exceptions=[ray.exceptions.RaySystemError], **options,
+    )(fn)
+
+
+def _as_pandas(block) -> pd.DataFrame:
+    return block.to_pandas() if isinstance(block, pa.Table) else block
+
+
+def _fold_level(combine, finish, *blocks) -> pd.DataFrame:
+    """One fold task: ``combine`` the concatenation of ``blocks`` (Arrow
+    or pandas) as pandas, then ``finish`` when this task is the root."""
+    frames = [_as_pandas(b) for b in blocks]
+    frames = [f for f in frames if len(f)] or frames[:1]
+    df = combine(pd.concat(frames, ignore_index=True))
+    if finish is not None:
+        df = finish(_as_pandas(df))
+    return _as_pandas(df)
+
+
+_fold_level_task = _task(_fold_level)
+
+
+def _fold_refs(refs: list, combine, finish=None) -> "ray.data.Dataset":
+    """Fold partial block refs to ONE block: one plain task per
+    ``FOLD_WIDTH`` refs, level after level, with ``finish`` in the last
+    task. The root's rows stay on the cluster inside the returned
+    one-block Dataset until the caller consumes it."""
+    while True:
+        last = len(refs) <= FOLD_WIDTH
+        refs = [_fold_level_task.remote(combine, finish if last else None,
+                                        *refs[i:i + FOLD_WIDTH])
+                for i in range(0, len(refs), FOLD_WIDTH)]
+        if last:
+            return ray.data.from_pandas_refs(refs)
 
 
 def tree_fold(partials: "ray.data.Dataset", combine, finish=None
               ) -> "ray.data.Dataset":
-    """Fold per-block partials to ONE block with tasks only.
+    """Fold per-block partials to ONE block with plain tasks only.
 
     ``combine(df) -> df`` merges any subset of partial rows into partial
     rows of the same schema; it must be associative and commutative
     (sum, OR, max, top-k over distinct keys), because a level hands it an
-    arbitrary concatenation of blocks. Each level is a non-shuffle
-    ``repartition(⌈n/FOLD_WIDTH⌉)`` followed by
-    ``map_batches(combine, batch_size=None)``, repeated until one block
-    remains; ``finish(df) -> df`` then runs once on that root. The
-    partials are materialized first (their block count sizes the tree);
-    one combine task sees about ``FOLD_WIDTH`` blocks' rows, and nothing
-    reaches the driver until the caller consumes the returned one-block
-    Dataset.
+    arbitrary concatenation of blocks. The partials are materialized
+    once; their block refs and row counts come from the materialized
+    bundles, and each level is one plain task per ``FOLD_WIDTH`` blocks,
+    repeated until one block remains. ``finish(df) -> df`` runs once, in
+    that root task. Nothing reaches the driver until the caller consumes
+    the returned one-block Dataset.
 
     Partials with no rows have no root: the result is an empty Dataset
     without columns, and neither function runs.
     """
-    ds = partials.materialize()
-    if ds.count() == 0:
+    bundles = partials.materialize().iter_internal_ref_bundles()
+    refs = [ref for bundle in bundles
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if not refs:
         return ray.data.from_items([])
-    n = ds.num_blocks()
-    while True:
-        n = -(-n // FOLD_WIDTH)
-        ds = ds.repartition(n).map_batches(
-            combine, batch_format="pandas", batch_size=None)
-        if n == 1:
-            break
-    if finish is not None:
-        ds = ds.map_batches(finish, batch_format="pandas", batch_size=None)
-    return ds
+    return _fold_refs(refs, combine, finish)
+
+
+def _batch_rows(row_group, columns: list[str]) -> int:
+    """Rows per ``fold_parquet`` batch of one row group (footer
+    metadata): ``FOLD_BATCH_BYTES`` over the uncompressed bytes per row
+    of ``columns``, at least one row."""
+    cols = (row_group.column(i) for i in range(row_group.num_columns))
+    nbytes = sum(c.total_uncompressed_size for c in cols
+                 if c.path_in_schema.split(".")[0] in columns)
+    return max(1, FOLD_BATCH_BYTES * row_group.num_rows // max(nbytes, 1))
+
+
+def _fold_piece(piece, columns, partial, combine, finish, batch_format):
+    """One ``fold_parquet`` task: ``partial`` over each batch of one row
+    group, ``combine`` over the piece's partials (plus ``finish`` when
+    the piece is the only one). Returns the folded partial and the
+    number of partial rows; a piece with none runs neither function."""
+    path, row_group, batch_rows = piece
+    parts = []
+    for batch in pq.ParquetFile(path).iter_batches(
+            batch_size=batch_rows, row_groups=[row_group], columns=columns,
+            use_threads=False):
+        t = pa.Table.from_batches([batch]).replace_schema_metadata(None)
+        parts.append(_as_pandas(
+            partial(t.to_pandas() if batch_format == "pandas" else t)))
+    n = sum(map(len, parts))
+    return (_fold_level(combine, finish, *parts) if n else None), n
+
+
+_fold_piece_task = _task(_fold_piece, num_returns=2)
+
+
+def fold_parquet(paths, columns: list[str], partial, combine, finish=None,
+                 batch_format: str = "pandas") -> "ray.data.Dataset":
+    """Read one table's parquet file(s) and fold it, with plain tasks
+    only: the same result as ``tree_fold(read.map_batches(partial,
+    batch_format=...), combine, finish)``, but no Dataset is started.
+
+    The driver reads each file's footer once and makes every row group
+    one piece (row groups are never split). One task per piece reads its
+    ``columns`` in batches of whole rows up to ``FOLD_BATCH_BYTES``
+    uncompressed, applies ``partial`` to each (as pandas, or as Arrow
+    with ``batch_format="pyarrow"``) and ``combine``s its own partials,
+    which is the first fold level; the piece outputs then fold as in
+    ``tree_fold``, and a lone piece is its own root. Each task also
+    returns its partial-row count, so when no piece has a row the result
+    is an empty Dataset and neither ``combine`` nor ``finish`` runs,
+    without a partial reaching the driver.
+    """
+    paths = [paths] if isinstance(paths, (str, os.PathLike)) else paths
+    pieces = []
+    for p in paths:
+        meta = pq.ParquetFile(p).metadata
+        pieces += [(str(p), rg, _batch_rows(meta.row_group(rg), columns))
+                   for rg in range(meta.num_row_groups)]
+    root = len(pieces) == 1
+    out = [_fold_piece_task.remote(p, columns, partial, combine,
+                                   finish if root else None, batch_format)
+           for p in pieces]
+    counts = ray.get([n for _, n in out])
+    refs = [ref for (ref, _), n in zip(out, counts) if n]
+    if not refs:
+        return ray.data.from_items([])
+    if root:
+        return ray.data.from_pandas_refs(refs)
+    return _fold_refs(refs, combine, finish)
 
 
 def aggregate_by(partials: "ray.data.Dataset", keys: list[str],
@@ -113,7 +224,7 @@ _fetch_lock = threading.Lock()
 
 
 def sum_by(keys: list[str], col: str | list[str]):
-    """``tree_fold`` combine for count or revenue partials: sum ``col``
+    """Fold combine for count or revenue partials: sum ``col``
     (one column or a list of columns) per key."""
 
     def combine(df):
@@ -159,21 +270,15 @@ def run_tasks(fn, items, num_cpus: float = 1,
     or a file and whose result is a small row (phase 2 of the staged
     exchange, validation, compaction, export, segment fetch): no
     streaming executor starts, so a handful of items costs a handful of
-    task launches. The tasks carry the remote args Ray Data gives its
-    own: a dead worker is retried without limit (``max_retries=-1``,
-    plus ``RaySystemError`` raised from task code), while an application
-    error runs once and reaches the caller as its own type. ``fn`` must
-    therefore be safe to run twice on one item (deterministic file
-    names, atomic renames). ``max_in_flight`` caps the tasks submitted
-    but not finished (a ``ray.wait`` window that stops at the first
-    failure)."""
+    task launches. The tasks carry ``_task``'s remote args, so a dead
+    worker re-runs its item: ``fn`` must be safe to run twice on one
+    item (deterministic file names, atomic renames). ``max_in_flight``
+    caps the tasks submitted but not finished (a ``ray.wait`` window
+    that stops at the first failure)."""
     items = list(items)
     if not items:
         return []
-    task = ray.remote(
-        num_cpus=num_cpus, max_retries=-1, scheduling_strategy="SPREAD",
-        retry_exceptions=[ray.exceptions.RaySystemError],
-    )(fn)
+    task = _task(fn, num_cpus)
     refs: list = []
     pending: list = []
     for item in items:

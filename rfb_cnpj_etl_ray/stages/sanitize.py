@@ -1,5 +1,5 @@
-"""Per-batch sanitizers / normalizers — M1-M5 of the reference operator
-inventory (``utils/db_transformers.py``), re-expressed as vectorized
+"""Per-batch sanitizers / normalizers — M1 and M3-M5 of the reference
+operator inventory (``utils/db_transformers.py``), re-expressed as vectorized
 Arrow/pandas kernels with exactly the reference's cell semantics.
 
 The reference applies these per Python cell inside the producer thread
@@ -35,26 +35,6 @@ def sanitize_cells(table: pa.Table, columns: list[str] | None = None) -> pa.Tabl
         col = pc.replace_substring(col, "\x00", "")
         col = pc.utf8_trim_whitespace(col)
         table = table.set_column(idx, table.schema.field(idx), col)
-    return table
-
-
-def reencode_cells(table: pa.Table, encoding: str = "cp1252",
-                   columns: list[str] | None = None) -> pa.Table:
-    """M2 (``sanitize_for_postgres``, db_transformers.py:25-37): M1 plus
-    re-encode with ``errors="ignore"`` — drops characters the target
-    encoding cannot represent. Under UTF-8 Arrow this is only needed for
-    legacy-encoding parity; implemented via a pandas str round-trip."""
-    table = sanitize_cells(table, columns)
-    cols = columns or [
-        f.name for f in table.schema if pa.types.is_string(f.type)
-    ]
-    for name in cols:
-        idx = table.schema.get_field_index(name)
-        s = table.column(idx).to_pandas()
-        s = s.str.encode(encoding, errors="ignore").str.decode(encoding)
-        table = table.set_column(
-            idx, table.schema.field(idx), pa.Array.from_pandas(s)
-        )
     return table
 
 

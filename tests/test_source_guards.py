@@ -5,8 +5,9 @@ library's ``ast`` so they need no linter.
   code (a line marked ``# noqa`` is exempt: an import made only to
   probe that a module is installed).
 * No module imports ``ray.data.aggregate``: every aggregate folds
-  through ``stages.exchange.tree_fold`` (low-cardinality keys) or
-  ``stages.exchange.aggregate_by`` (high-cardinality keys).
+  through ``stages.exchange.fold_parquet`` or ``tree_fold``
+  (low-cardinality keys) or ``stages.exchange.aggregate_by``
+  (high-cardinality keys).
 * No class is a Ray actor (decorated with ``ray.remote``): the engine
   runs on plain tasks only.
 * ``stages/merge.py`` calls no ``read_table``: the partition readers

@@ -5,6 +5,7 @@ corpus whose whitespace and case mapping differ between Python and
 DuckDB."""
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -139,4 +140,79 @@ def test_op_matches_twin_on_non_ascii_text(ray_session, non_ascii_sf, fn, sql):
     con.close()
     eng = normalize(to_pandas(fn(non_ascii_sf)))
     assert len(ora), "twin returned no rows: the corpus exercises nothing"
+    pd.testing.assert_frame_equal(eng, ora, check_dtype=False)
+
+
+# ---------------------------------------------------------------------------
+# the token-counting and token-hashing kernels on awkward code points
+# ---------------------------------------------------------------------------
+
+def _poly_hashes_per_token(flat_words, base):
+    """``dedup._word_poly_hashes`` as it was written before its one-buffer
+    encode: one UTF-32 encode per token. The reference for the test below."""
+    if flat_words.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    enc = [w.encode("utf-32-le") for w in flat_words]
+    lens = np.array([len(e) // 4 for e in enc], dtype=np.int64)
+    arr = np.frombuffer(b"".join(enc), dtype=np.uint32).astype(np.int64)
+    maxlen = int(lens.max())
+    powers = np.empty(max(maxlen, 1), dtype=np.int64)
+    powers[0] = 1
+    for i in range(1, maxlen):
+        powers[i] = (powers[i - 1] * base) % D._SH_PRIME
+    offsets = np.zeros(len(enc), dtype=np.int64)
+    np.cumsum(lens[:-1], out=offsets[1:])
+    ends = offsets + lens
+    exp = np.repeat(ends, lens) - 1 - np.arange(len(arr))
+    terms = (arr * powers[exp]) % D._SH_PRIME
+    return np.add.reduceat(terms, np.minimum(offsets, max(len(terms) - 1, 0))
+                           ) % D._SH_PRIME
+
+
+def test_word_poly_hashes_equal_the_per_token_encode():
+    """Random words over ASCII, astral code points, 'İ', 'Σ' and NUL,
+    one-character words among them, hash exactly as the per-token
+    encode did."""
+    rng = np.random.default_rng(5)
+    alphabet = ["a", "z", "é", "İ", "Σ", "σ", "\x00", "中", "\U0001F600",
+                "\U00010570", "\U0010FFFF"]
+    for _ in range(20):
+        lens = rng.integers(1, 9, rng.integers(1, 200))
+        words = np.array(["".join(rng.choice(alphabet, n)) for n in lens],
+                         dtype=object)
+        for base in (131, 137):
+            np.testing.assert_array_equal(
+                D._word_poly_hashes(words, base),
+                _poly_hashes_per_token(words, base))
+    one = np.array(list(alphabet), dtype=object)
+    np.testing.assert_array_equal(D._word_poly_hashes(one, 131),
+                                  _poly_hashes_per_token(one, 131))
+    assert D._word_poly_hashes(np.array([], dtype=object), 131).size == 0
+
+
+NUL_ROWS = ["ab\x00 ab x", "ab x y", "x"]
+
+
+@pytest.mark.parametrize("fn,sql", [
+    (T.top_tokens, T.TOP_TOKENS_SQL),
+    (T.certified_topk_tokens, T.CERTIFIED_TOPK_TOKENS_SQL),
+    (T.token_rarity_scores, T.TOKEN_RARITY_SCORES_SQL),
+], ids=lambda v: getattr(v, "__name__", "sql"))
+def test_token_with_a_trailing_nul_is_its_own_token(ray_session, tmp_path,
+                                                    fn, sql):
+    """'ab\\x00' is a token apart from 'ab', as in DuckDB: the counting
+    kernels keep the NUL that NumPy's fixed-width strings would drop."""
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(NUL_ROWS)), pa.int64()),
+        "text": NUL_ROWS,
+        "lang": ["en"] * len(NUL_ROWS),
+        "source": ["web"] * len(NUL_ROWS),
+        "n_chars": pa.array([len(t) for t in NUL_ROWS], pa.int64()),
+    }), tmp_path / "documents.parquet")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * "
+                f"FROM read_parquet('{tmp_path}/documents.parquet')")
+    ora = normalize(con.execute(sql).fetchdf())
+    con.close()
+    eng = normalize(to_pandas(fn(str(tmp_path))))
     pd.testing.assert_frame_equal(eng, ora, check_dtype=False)

@@ -1,8 +1,7 @@
-"""``stages.exchange.tree_fold``, ``aggregate_by`` and ``fetch``: the
-task-only partial folds (low- and high-cardinality keys) and the
-per-worker broadcast cache the operators share."""
-
-import re
+"""``stages.exchange.tree_fold``, ``fold_parquet``, ``aggregate_by``
+and ``fetch``: the task-only partial folds (low- and high-cardinality
+keys; from a Dataset or straight from parquet files) and the per-worker
+broadcast cache the operators share."""
 
 import numpy as np
 import pandas as pd
@@ -48,17 +47,40 @@ def test_tree_fold_equals_one_groupby(ray_session, n_blocks):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_tree_fold_levels_and_driver_rows_flat_in_block_count(ray_session):
-    """64 blocks need two levels (64 → 4 → 1 at width 16), 8 need one;
-    either way the result is ONE block holding exactly the distinct
-    keys, so the rows reaching the driver do not grow with blocks."""
+def _counted(tmp_path, fn, tag):
+    """``fn`` that also leaves one marker file per call in ``tmp_path``
+    (a closure, shipped by value to the task that runs it)."""
+    import uuid
+
+    def counted(df: pd.DataFrame) -> pd.DataFrame:
+        (tmp_path / f"{tag}-{uuid.uuid4().hex}").write_text(str(len(df)))
+        return fn(df)
+
+    return counted
+
+
+def _calls(tmp_path, tag) -> list[int]:
+    """The row counts ``_counted`` calls saw, sorted."""
+    return sorted(int(p.read_text()) for p in tmp_path.glob(f"{tag}-*"))
+
+
+def test_tree_fold_levels_and_driver_rows_flat_in_block_count(ray_session,
+                                                              tmp_path):
+    """64 blocks need two levels (64 → 4 → 1 at width 16: 4 + 1 combine
+    tasks), 8 need one; either way the result is ONE block holding
+    exactly the distinct keys, so the rows reaching the driver do not
+    grow with blocks."""
+    import ray.data
+
     assert X.FOLD_WIDTH == 16
     rows = {}
-    for n_blocks, levels in ((8, 1), (64, 2)):
-        out = _fold(_partials(n_blocks, seed=n_blocks)).materialize()
+    for n_blocks, calls in ((8, 1), (64, 5)):
+        marks = tmp_path / str(n_blocks)
+        marks.mkdir()
+        ds = ray.data.from_pandas(_partials(n_blocks, seed=n_blocks))
+        out = X.tree_fold(ds, _counted(marks, _sum_n, "combine"))
+        assert len(_calls(marks, "combine")) == calls
         assert out.num_blocks() == 1
-        assert len(re.findall(r"^Operator \d+ Repartition", out.stats(),
-                              re.M)) == levels
         rows[n_blocks] = len(out.to_pandas())
     assert rows[8] == rows[64] == 25
 
@@ -92,6 +114,118 @@ def test_tree_fold_of_no_rows_is_empty(ray_session):
 
     no_blocks = ray.data.range(4).filter(lambda r: False).materialize()
     assert X.tree_fold(no_blocks, boom, boom).count() == 0
+
+
+def _write_row_groups(path, sizes, seed=0):
+    """One parquet file whose row groups hold ``sizes`` rows of (k, n)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    frames = [pd.DataFrame({
+        "k": rng.integers(0, 25, size).astype(np.int64),
+        "n": rng.integers(1, 100, size).astype(np.int64)}) for size in sizes]
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+    with pq.ParquetWriter(path, schema) as w:
+        for f in frames:
+            w.write_table(pa.Table.from_pandas(f, schema=schema,
+                                               preserve_index=False))
+    assert pq.ParquetFile(path).metadata.num_row_groups == len(sizes)
+    return pd.concat(frames, ignore_index=True)
+
+
+def test_fold_parquet_runs_one_task_per_row_group(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Three row groups are three piece tasks. Each reads its group in
+    batches bounded by ``FOLD_BATCH_BYTES`` (here sized so the 2500-row
+    group takes 1024 + 1024 + 452) and combines its own partials once;
+    the three piece outputs fold in one root task, where ``finish``
+    runs once. The result equals one groupby of the whole file."""
+    import pyarrow.parquet as pq
+
+    path = tmp_path / "t.parquet"
+    whole = _write_row_groups(path, [2500, 7, 1])
+    big = pq.ParquetFile(path).metadata.row_group(0)
+    nbytes = sum(big.column(i).total_uncompressed_size for i in range(2))
+    monkeypatch.setattr(X, "FOLD_BATCH_BYTES", -(-nbytes * 1024 // 2500))
+    assert X._batch_rows(big, ["k", "n"]) == 1024
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def total(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(total=int(df["n"].sum()))
+
+    out = X.fold_parquet(
+        path, ["k", "n"], _counted(marks, _sum_n, "partial"),
+        _counted(marks, _sum_n, "combine"), _counted(marks, total, "finish"))
+    assert _calls(marks, "partial") == [1, 7, 452, 1024, 1024]
+    assert len(_calls(marks, "combine")) == 3 + 1
+    assert len(_calls(marks, "finish")) == 1
+    assert out.num_blocks() == 1
+    got = out.to_pandas().sort_values("k", ignore_index=True)
+    want = _sum_n(whole)
+    pd.testing.assert_frame_equal(got[["k", "n"]], want)
+    assert (got["total"] == int(whole["n"].sum())).all()
+
+
+def test_fold_parquet_of_one_row_group_folds_in_its_piece(ray_session,
+                                                          tmp_path):
+    """A file in one row group is one task: the piece's own combine and
+    ``finish`` are the whole fold. A list of files folds across all."""
+    one, two = tmp_path / "one.parquet", tmp_path / "two.parquet"
+    a = _write_row_groups(one, [300], seed=1)
+    b = _write_row_groups(two, [40, 40], seed=2)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    out = X.fold_parquet(one, ["k", "n"], _sum_n,
+                         _counted(marks, _sum_n, "combine"))
+    assert len(_calls(marks, "combine")) == 1
+    pd.testing.assert_frame_equal(
+        out.to_pandas().sort_values("k", ignore_index=True), _sum_n(a))
+    both = X.fold_parquet([str(one), str(two)], ["k", "n"], _sum_n,
+                          _sum_n).to_pandas()
+    pd.testing.assert_frame_equal(
+        both.sort_values("k", ignore_index=True),
+        _sum_n(pd.concat([a, b], ignore_index=True)))
+
+
+def test_fold_parquet_of_no_rows_is_empty(ray_session, tmp_path):
+    """No partial rows → an empty Dataset; neither ``combine`` nor
+    ``finish`` runs, whether the file has no rows or every batch's
+    partial is empty."""
+    def boom(df):
+        raise AssertionError("no root, so nothing may run")
+
+    def nothing(df: pd.DataFrame) -> pd.DataFrame:
+        return df.iloc[:0]
+
+    empty = tmp_path / "empty.parquet"
+    _write_row_groups(empty, [0])
+    assert X.fold_parquet(empty, ["k", "n"], _sum_n, boom,
+                          boom).count() == 0
+    rows = tmp_path / "rows.parquet"
+    _write_row_groups(rows, [50, 50])
+    assert X.fold_parquet(rows, ["k", "n"], nothing, boom,
+                          boom).count() == 0
+
+
+def test_fold_parquet_batch_format_pyarrow(ray_session, tmp_path):
+    """``batch_format="pyarrow"`` hands ``partial`` an Arrow table; its
+    Arrow output folds like a pandas one."""
+    import pyarrow as pa
+
+    path = tmp_path / "t.parquet"
+    whole = _write_row_groups(path, [100, 60], seed=4)
+
+    def arrow_sum(t: pa.Table) -> pa.Table:
+        assert isinstance(t, pa.Table)
+        return t.group_by("k").aggregate([("n", "sum")]).rename_columns(
+            ["k", "n"])
+
+    out = X.fold_parquet(path, ["k", "n"], arrow_sum, _sum_n,
+                         batch_format="pyarrow").to_pandas()
+    pd.testing.assert_frame_equal(out.sort_values("k", ignore_index=True),
+                                  _sum_n(whole))
 
 
 def test_aggregate_by_equals_one_groupby(ray_session):
@@ -158,3 +292,25 @@ def test_fetch_resolves_a_sharded_broadcast_in_one_slot(ray_session):
         np.testing.assert_array_equal(v, np.arange(3) + 10 * i)
     assert X.fetch(ref) is got and len(X._fetched) == 1
     X._fetched.clear()
+
+
+def test_file_folds_start_no_dataset(ray_session, monkeypatch):
+    """``cms_token_counts``, ``certified_topk_tokens`` (two passes) and
+    ``refined_quantiles`` (two passes) are folds only: with
+    ``ray.data.read_parquet`` raising on the driver they still run,
+    every pass on ``fold_parquet``'s plain tasks, and each matches its
+    DuckDB twin."""
+    import ray.data
+
+    from rfb_cnpj_etl_ray.functions import text as T
+    from tests.conftest import SF_DIR
+    from tests.util_compare import assert_query_matches
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("ray.data.read_parquet in a fold")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_dataset)
+    for fn, sql in ((T.cms_token_counts, T.CMS_TOKEN_COUNTS_SQL),
+                    (T.certified_topk_tokens, T.CERTIFIED_TOPK_TOKENS_SQL),
+                    (T.refined_quantiles, T.REFINED_QUANTILES_SQL)):
+        assert_query_matches(fn, sql, SF_DIR)
