@@ -30,7 +30,13 @@ import ray.data
 
 from rfb_cnpj_etl_ray.sources.parquet import read_table as _read_table
 
-from rfb_cnpj_etl_ray.functions.text import WS_CTRL, _ngrams, _words
+from rfb_cnpj_etl_ray.functions.text import (
+    WS_CTRL,
+    _ngrams,
+    _word_codes,
+    _word_poly_hashes,
+    _words,
+)
 from rfb_cnpj_etl_ray.numeric import round_half_away
 
 
@@ -114,8 +120,9 @@ JACCARD_THRESHOLD = 0.5
 def _jaccard_pairs_matrix(docs: np.ndarray, sets_list: list,
                           threshold: float) -> pd.DataFrame:
     """All pairs with set-Jaccard ≥ threshold, computed as ONE incidence
-    matmul: factorize the block's vocabulary, build the (docs × vocab)
-    bool incidence, intersections = M·Mᵀ — no per-pair Python loop."""
+    matmul: code the block's vocabulary (Arrow ``dictionary_encode``,
+    exact on a trailing NUL), build the (docs × vocab) bool incidence,
+    intersections = M·Mᵀ — no per-pair Python loop."""
     order = np.argsort(docs)
     docs = docs[order]
     sets_list = [sets_list[i] for i in order]
@@ -125,7 +132,8 @@ def _jaccard_pairs_matrix(docs: np.ndarray, sets_list: list,
         return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                              "doc_b": pd.Series([], dtype="int64"),
                              "jaccard": pd.Series([], dtype="float64")})
-    codes, _ = pd.factorize(np.asarray(flat, dtype=object))
+    codes = pa.array(flat, pa.large_string()).dictionary_encode(
+    ).indices.to_numpy()
     n, v = len(docs), int(codes.max()) + 1
     m = np.zeros((n, v), dtype=np.int32)
     rows = np.repeat(np.arange(n), lens)
@@ -207,8 +215,8 @@ def _minhash_signatures(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     SQL-reproducible fold ``fingerprints`` uses), then for each of the 64
     permutations (a_i·h + b_i mod 2^31-1 — BIGINT-exact on both engines)
     take per-doc minima with ``np.minimum.reduceat``."""
-    flat, counts = _words(texts)
-    base = _word_poly_hashes(flat, _MH_BASE)
+    codes, words, counts = _word_codes(texts)
+    base = _word_poly_hashes(words, _MH_BASE)[codes]
     sigs = np.full((len(texts), NUM_HASHES), _MH_PRIME, dtype=np.int64)
     nonempty = counts > 0
     if base.size:
@@ -585,34 +593,6 @@ _SH_PRIME = 2147483647
 _SH_BITS = 31
 
 
-def _word_poly_hashes(flat_words: np.ndarray, base: int) -> np.ndarray:
-    """Polynomial hash (mod 2^31-1) of every word in an object array —
-    one flat buffer + end-aligned powers + add.reduceat; identical to
-    the SQL fold ``(a*base + ord(char)) % p``. Folds CODE POINTS (via a
-    UTF-32 view), exactly what SQL ``ord(substr(...))`` yields — so the
-    bit-for-bit oracle claim holds on non-ASCII text too (ADVICE r2)."""
-    if flat_words.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    # one encode for the whole buffer; a str's len is its code-point
-    # count, i.e. its UTF-32 length
-    lens = np.fromiter(map(len, flat_words), dtype=np.int64,
-                       count=len(flat_words))
-    arr = np.frombuffer("".join(flat_words).encode("utf-32-le"),
-                        dtype=np.uint32).astype(np.int64)
-    maxlen = int(lens.max())
-    powers = np.empty(max(maxlen, 1), dtype=np.int64)
-    powers[0] = 1
-    for i in range(1, maxlen):
-        powers[i] = (powers[i - 1] * base) % _SH_PRIME
-    offsets = np.zeros(len(flat_words), dtype=np.int64)
-    np.cumsum(lens[:-1], out=offsets[1:])
-    ends = offsets + lens
-    exp = np.repeat(ends, lens) - 1 - np.arange(len(arr))
-    terms = (arr * powers[exp]) % _SH_PRIME
-    return np.add.reduceat(terms, np.minimum(offsets, max(len(terms) - 1, 0))
-                           ) % _SH_PRIME
-
-
 def simhash_fingerprints(sf_dir: str):
     """62-bit SimHash per doc: each *distinct* word votes on every bit of
     its two polynomial hashes (mod 2^31-1, bases 131/137); majority sign
@@ -623,7 +603,7 @@ def simhash_fingerprints(sf_dir: str):
     so the DuckDB oracle rebuilds the identical fingerprints."""
 
     def simhash(batch: pd.DataFrame) -> pd.DataFrame:
-        flat_all, raw_counts = _words(batch["text"])
+        codes, uniq_words, raw_counts = _word_codes(batch["text"])
         n = len(batch)
         fps = np.zeros(n, dtype=np.int64)
         total = int(raw_counts.sum())
@@ -631,13 +611,11 @@ def simhash_fingerprints(sf_dir: str):
             if total >= (1 << 31):  # packed (doc_idx<<32)|code headroom
                 raise ValueError(
                     "simhash batch exceeds 2^31 words; lower batch_size")
-            # per-doc DISTINCT words without a per-row Python set
-            # (VERDICT r4 #2): factorize gives collision-free integer
-            # word codes (one C hash table per batch), then one
-            # np.unique over packed (doc_idx << 32 | code) int64 rows
-            # yields the distinct (doc, word) pairs grouped by doc —
-            # order within a doc is irrelevant, votes are commutative
-            codes, uniq_words = pd.factorize(flat_all)
+            # per-doc DISTINCT words without a per-row Python set:
+            # exact word codes (``_word_codes``), then one np.unique
+            # over packed (doc_idx << 32 | code) int64 rows yields the
+            # distinct (doc, word) pairs grouped by doc — order within
+            # a doc is irrelevant, votes are commutative
             doc_idx = np.repeat(np.arange(n, dtype=np.int64), raw_counts)
             upairs = np.unique((doc_idx << 32) | codes.astype(np.int64))
             doc_of = upairs >> 32
@@ -647,10 +625,9 @@ def simhash_fingerprints(sf_dir: str):
             np.cumsum(counts[:-1], out=offsets[1:])
             nonempty = counts > 0
             shifts = np.arange(_SH_BITS, dtype=np.int64)
-            uniq_arr = np.asarray(uniq_words, dtype=object)
             for which, base in enumerate(_SH_BASES):
                 # hash each batch-distinct word ONCE, gather per pair
-                hashes = _word_poly_hashes(uniq_arr, base)[code_of]
+                hashes = _word_poly_hashes(uniq_words, base)[code_of]
                 bits = ((hashes[:, None] >> shifts) & 1).astype(np.int32)
                 votes = 2 * bits - 1
                 sums = np.add.reduceat(votes, offsets[nonempty], axis=0)

@@ -13,8 +13,9 @@ engine. Per-document outputs are stateless map_batches tasks, with side
 inputs broadcast through ``stages.exchange.fetch``. A corpus aggregate
 that folds per-batch partials of ``documents`` is one
 ``stages.exchange.fold_parquet`` (plain tasks per row group, no
-Dataset); partials that come out of an exchange fold through
-``stages.exchange.tree_fold``. No operator here starts an actor.
+Dataset); a top-k over a vocabulary uses its keyed form. A kernel that
+maps tokens through a function runs it once per distinct word of the
+batch (``_word_codes``). No operator here starts an actor.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from rfb_cnpj_etl_ray.hashing import partition_ids
-from rfb_cnpj_etl_ray.stages.exchange import (
-    fetch,
-    fold_parquet,
-    sum_by,
-    tree_fold,
-)
+from rfb_cnpj_etl_ray.stages.exchange import fetch, fold_parquet, sum_by
 
 #: RE2's ``\s`` (DuckDB's regex engine, so the whitespace of every SQL
 #: twin) is the space plus these four ASCII controls and nothing else;
@@ -67,6 +62,14 @@ def _words(texts: pd.Series, lower: bool = True
     U+10570, ...) are lowercased by Arrow but not by DuckDB 1.0, whose
     case tables are older; raw (``lower=False``) tokens match DuckDB on
     every code point."""
+    flat, lens = _word_array(texts, lower)
+    # to_pandas interns repeated tokens: half the cost of to_numpy here
+    return flat.to_pandas().to_numpy(), lens
+
+
+def _word_array(texts: pd.Series, lower: bool = True
+                ) -> tuple[pa.Array, np.ndarray]:
+    """``_words`` with the flat tokens left as an Arrow string array."""
     arr = pa.array(texts, pa.large_string())
     if lower:
         arr = pc.utf8_lower(arr)
@@ -76,8 +79,31 @@ def _words(texts: pd.Series, lower: bool = True
     keep = pc.not_equal(flat, "")
     lens = np.bincount(pc.list_parent_indices(parts).filter(keep).to_numpy(),
                        minlength=len(arr))
-    # to_pandas interns repeated tokens: half the cost of to_numpy here
-    return flat.filter(keep).to_pandas().to_numpy(), lens
+    return flat.filter(keep), lens
+
+
+def _word_codes(texts: pd.Series
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_words`` as exact word codes: ``(codes, distinct, lens)``, where
+    ``distinct[codes]`` is the flat (lowercased) token buffer and
+    ``distinct`` an object array of each batch token once. Arrow's
+    ``dictionary_encode`` compares tokens byte for byte, so 'ab\\x00'
+    and 'ab' get two codes; pandas ``factorize`` would merge them. A
+    per-token function (a hash, a count) then runs once per distinct
+    word and is gathered by the codes."""
+    flat, lens = _word_array(texts)
+    d = flat.dictionary_encode()
+    return (d.indices.to_numpy(), d.dictionary.to_numpy(zero_copy_only=False),
+            lens)
+
+
+def _ngram_starts(lens: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, start)`` of every run of ``n`` consecutive tokens inside
+    one row of a flat token buffer with ``lens`` tokens per row, in
+    buffer order."""
+    row = np.repeat(np.arange(len(lens)), lens)
+    start = np.flatnonzero(row[: max(len(row) - n + 1, 0)] == row[n - 1:])
+    return row[start], start
 
 
 def _ngrams(flat: np.ndarray, lens: np.ndarray, n: int
@@ -88,15 +114,54 @@ def _ngrams(flat: np.ndarray, lens: np.ndarray, n: int
     none — the ``ws[i] || ' ' || … || ws[i + n - 1]`` of the SQL twins.
     One Arrow ``take`` gathers the members and one ``binary_join`` glues
     them."""
-    row = np.repeat(np.arange(len(lens)), lens)
-    start = np.flatnonzero(row[: max(len(row) - n + 1, 0)] == row[n - 1:])
+    row, start = _ngram_starts(lens, n)
     idx = (start[:, None] + np.arange(n)).ravel()
     members = pa.ListArray.from_arrays(
         pa.array(np.arange(0, len(idx) + 1, n), pa.int32()),
         pa.array(flat, pa.large_string()).take(idx))
-    return row[start], pc.binary_join(
+    return row, pc.binary_join(
         members, pa.scalar(" ", pa.large_string())).to_numpy(
         zero_copy_only=False)
+
+
+#: modulus of the code-point polynomial hashes (2^31-1: a·h + b stays
+#: BIGINT-exact in the SQL twins)
+_POLY_PRIME = 2147483647
+
+
+def _poly_powers(base: int, n: int) -> np.ndarray:
+    """``base**i mod _POLY_PRIME`` for ``i`` in ``[0, n)`` (at least one)."""
+    powers = np.empty(max(n, 1), dtype=np.int64)
+    powers[0] = 1
+    for i in range(1, n):
+        powers[i] = (powers[i - 1] * base) % _POLY_PRIME
+    return powers
+
+
+def _word_poly_hashes(flat_words: np.ndarray, base: int) -> np.ndarray:
+    """Polynomial hash (mod 2^31-1) of every word in an object array —
+    one flat buffer + end-aligned powers + add.reduceat; identical to
+    the SQL fold ``(a*base + ord(char)) % p``. Folds CODE POINTS (via a
+    UTF-32 view), exactly what SQL ``ord(substr(...))`` yields — so the
+    bit-for-bit oracle claim holds on non-ASCII text too. Callers hash
+    a batch's ``_word_codes`` dictionary and gather by the codes, so
+    each distinct word is hashed once."""
+    if flat_words.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    # one encode for the whole buffer; a str's len is its code-point
+    # count, i.e. its UTF-32 length
+    lens = np.fromiter(map(len, flat_words), dtype=np.int64,
+                       count=len(flat_words))
+    arr = np.frombuffer("".join(flat_words).encode("utf-32-le"),
+                        dtype=np.uint32).astype(np.int64)
+    powers = _poly_powers(base, int(lens.max()))
+    offsets = np.zeros(len(flat_words), dtype=np.int64)
+    np.cumsum(lens[:-1], out=offsets[1:])
+    ends = offsets + lens
+    exp = np.repeat(ends, lens) - 1 - np.arange(len(arr))
+    terms = (arr * powers[exp]) % _POLY_PRIME
+    return np.add.reduceat(terms, np.minimum(offsets, max(len(terms) - 1, 0))
+                           ) % _POLY_PRIME
 
 
 STOPWORDS = ("the", "and", "of", "a", "to", "in", "is", "for", "on", "with")
@@ -119,39 +184,24 @@ def _read_docs(sf_dir: str, columns=None):
 
 
 def _fold_docs(sf_dir: str, columns: list[str], partial, combine,
-               finish=None):
+               finish=None, by=None):
     """``fold_parquet`` over ``documents``: a per-batch ``partial`` folded
     by ``combine`` (then ``finish``) in plain tasks, with no Dataset."""
     return fold_parquet(f"{sf_dir}/documents.parquet", columns, partial,
-                        combine, finish)
+                        combine, finish, by=by)
 
 
 #: hash buckets of ``_topk_by_count``'s keyed fold: each bucket's keys
-#: are folded by one task, so a vocabulary wider than one worker's heap
-#: still splits across this many
+#: are folded by one task tree, so a vocabulary wider than one worker's
+#: heap still splits across this many
 _TOPK_BUCKETS = 8
-
-
-def _sum_counts(key: str):
-    """Fold combine for (key, n) string counts: sum ``n`` per key with
-    Arrow's ``group_by``. pandas would group through its C-string hash
-    table, which merges a key with a trailing NUL into the same key
-    without it; DuckDB keeps them apart, and so does Arrow."""
-
-    def combine(df: pd.DataFrame) -> pa.Table:
-        g = pa.table({key: pa.array(df[key], pa.string()),
-                      "n": pa.array(df["n"], pa.int64())}
-                     ).group_by(key).aggregate([("n", "sum")])
-        return pa.table({key: g.column(key), "n": g.column("n_sum")})
-
-    return combine
 
 
 def _sum_topk(key: str, k: int):
     """Fold of (key, n) partial rows: sum per key, keep the k largest
-    (count desc, key asc). Associative over disjoint or repeated keys,
-    so it is both the per-bucket fold and the ``tree_fold`` combine."""
-    sum_n = _sum_counts(key)
+    (count desc, key asc). Exact only over partials with disjoint keys
+    (or over every partial at once): a cut key cannot come back."""
+    sum_n = sum_by([key], "n")
 
     def fold(df: pd.DataFrame) -> pa.Table:
         return sum_n(df).sort_by([("n", "descending"),
@@ -160,23 +210,18 @@ def _sum_topk(key: str, k: int):
     return fold
 
 
-def _topk_by_count(partials, key: str, k: int):
-    """Global exact top-k over per-batch partial (key, n) counts. Every
-    partial row gets a bucket from ``hashing.partition_ids`` (stable
-    across processes, never builtin ``hash``); Ray Data's task-based
-    sort shuffle groups the buckets, and each group sums its keys and
-    keeps only its local top-k — exact, since a key lives in one bucket.
-    ``tree_fold`` then merges the ≤ k×``_TOPK_BUCKETS`` survivors, so no
-    global sort runs and no step ever holds the whole vocabulary."""
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df["bucket"] = partition_ids(df[key].to_numpy(), _TOPK_BUCKETS)
-        return df
-
-    fold = _sum_topk(key, k)
-    survivors = (partials.map_batches(tag, batch_format="pandas")
-                 .groupby("bucket").map_groups(fold, batch_format="pandas"))
-    return tree_fold(survivors, fold)
+def _topk_by_count(sf_dir: str, partial, key: str, k: int):
+    """Global exact top-k over per-batch partial (key, n) counts of
+    ``documents``: ``fold_parquet``'s keyed fold on plain tasks. Every
+    row group sums its own counts and splits them into
+    ``_TOPK_BUCKETS`` hash buckets of the key (``hashing.partition_ids``:
+    stable across processes, never builtin ``hash``); each bucket's tree
+    only sums, its root keeps the bucket's top-k (exact: a key lives in
+    one bucket), and one last task keeps the top-k of the
+    ≤ k×``_TOPK_BUCKETS`` survivors. No global sort runs, no step holds
+    the whole vocabulary, and no Dataset starts."""
+    return _fold_docs(sf_dir, ["text"], partial, sum_by([key], "n"),
+                      _sum_topk(key, k), by=(key, _TOPK_BUCKETS))
 
 
 def _token_counts(batch: pd.DataFrame) -> pd.DataFrame:
@@ -585,35 +630,30 @@ TOP_TOKENS_K = 50
 
 def top_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
     """Global top-K most frequent tokens — the corpus-curation heavy
-    hitter report. Scale shape: counts pre-aggregate inside map_batches
-    (one ``value_counts`` per batch over the flat word buffer), so the groupby
-    shuffle moves ≤|block vocabulary| rows per block, never one row per
-    token occurrence; the final sort runs over |vocab| rows and limit
-    prunes."""
+    hitter report. Scale shape: counts pre-aggregate per batch (one
+    ``bincount`` of the batch's word codes), so the keyed fold
+    (``_topk_by_count``) moves ≤|row-group vocabulary| rows per row
+    group, never one row per token occurrence, and only the bucket
+    roots cut to k rows."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         tok, cnt = _batch_token_counts(batch)
         return pd.DataFrame({"token": tok, "n": cnt})
 
-    ds = _read_docs(sf_dir, ["text"]).map_batches(
-        partial, batch_format="pandas")
-    return _topk_by_count(ds, "token", k)
+    return _topk_by_count(sf_dir, partial, "token", k)
 
 
 def _batch_token_counts(batch: pd.DataFrame
                         ) -> "tuple[np.ndarray, np.ndarray]":
-    """(distinct lowercased tokens, counts) of a batch via one flat
-    word buffer + one pandas ``value_counts`` (hash-based, so a token
-    with a trailing NUL stays its own token, as in DuckDB; NumPy's
-    fixed-width strings would drop the NUL) — the shared counting kernel of
-    ``top_tokens`` and ``certified_topk_tokens`` (their equality is the
-    latter's contract, so they must tokenize identically by
-    construction). Empty batches yield two empty arrays."""
-    flat, counts = _words(batch["text"])
-    if not counts.sum():
-        return (np.array([], dtype=object), np.array([], dtype=np.int64))
-    vc = pd.Series(flat).value_counts(sort=False)
-    return vc.index.to_numpy(dtype=object), vc.to_numpy(dtype=np.int64)
+    """(distinct lowercased tokens, counts) of a batch: one
+    ``bincount`` of its ``_word_codes`` (exact, so a token with a
+    trailing NUL stays its own token, as in DuckDB) — the shared
+    counting kernel of ``top_tokens`` and ``certified_topk_tokens``
+    (their equality is the latter's contract, so they must tokenize
+    identically by construction). Empty batches yield two empty
+    arrays."""
+    codes, words, _ = _word_codes(batch["text"])
+    return words, np.bincount(codes, minlength=len(words)).astype(np.int64)
 
 
 TOP_TOKENS_SQL = f"""
@@ -877,9 +917,9 @@ def bigram_topk(sf_dir: str, k: int = BIGRAM_K):
     """Global top-K adjacent word pairs — phrase-level heavy hitters
     (``top_tokens``'s unigram report misses collocations). Scale shape:
     bigrams never cross documents, so the per-batch partial is one
-    ``_ngrams`` pass + one ``value_counts`` over the joined pairs;
-    the shuffle moves ≤|block bigram vocabulary| rows per block, and the
-    per-block fold keeps k rows so the final sort sees k×#blocks."""
+    ``_ngrams`` pass + one ``value_counts`` over the joined pairs; the
+    keyed fold (``_topk_by_count``) moves ≤|row-group bigram vocabulary|
+    rows per row group, and only the bucket roots cut to k rows."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         _, pairs = _ngrams(*_words(batch["text"]), 2)
@@ -890,9 +930,7 @@ def bigram_topk(sf_dir: str, k: int = BIGRAM_K):
         return pd.DataFrame({"bigram": vc.index.to_numpy(dtype=object),
                              "n": vc.to_numpy(dtype=np.int64)})
 
-    ds = _read_docs(sf_dir, ["text"]).map_batches(
-        partial, batch_format="pandas")
-    return _topk_by_count(ds, "bigram", k)
+    return _topk_by_count(sf_dir, partial, "bigram", k)
 
 
 BIGRAM_TOPK_SQL = f"""
@@ -914,17 +952,31 @@ GROUP BY bigram ORDER BY n DESC, bigram ASC LIMIT {BIGRAM_K}
 DECON_N = 5  # shingle width in words
 
 
-def _shingle_distinct(batch: pd.DataFrame) -> pd.DataFrame:
-    """DISTINCT (doc_id, gram) ``DECON_N``-word shingles of the given
-    rows — one ``_ngrams`` pass, no per-row Python. Each doc lives in
-    one batch, so the per-batch dedup is global. Shared by the
-    exchange-based (``decontaminate_val``) and broadcast-Bloom
-    (``bloom_decontaminate``) decontamination paths."""
-    row, gram = _ngrams(*_words(batch["text"]), DECON_N)
-    return pd.DataFrame({
-        "doc_id": batch["doc_id"].to_numpy(dtype=np.int64)[row],
-        "gram": gram,
-    }).drop_duplicates()
+def _shingle_hashes(batch: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """``(doc_id, h)`` for every DISTINCT (doc, ``DECON_N``-word shingle)
+    of the rows, ``h`` the ``_CMS_BASE`` code-point polynomial hash of
+    the shingle's text (its words joined by " ") — with no shingle
+    string built. A shingle is its tuple of exact ``_word_codes``; no
+    token holds a space, so distinct tuples are distinct strings. Its
+    hash is composed from its words' hashes, each distinct word hashed
+    once: ``H(x␣y) = ((H(x)·B + 32)·B^len(y) + H(y)) mod p``, ``len`` in
+    code points. Each doc lives in one batch, so the per-batch dedup is
+    global."""
+    codes, words, lens = _word_codes(batch["text"])
+    row, start = _ngram_starts(lens, DECON_N)
+    cols = {"row": row}
+    cols.update((f"w{j}", codes[start + j]) for j in range(DECON_N))
+    uniq = pa.table(cols).group_by(list(cols)).aggregate([])
+    wh = _word_poly_hashes(words, _CMS_BASE)
+    wlen = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    wpow = _poly_powers(_CMS_BASE, int(wlen.max(initial=0)) + 1)[wlen]
+    h = wh[uniq.column("w0").to_numpy()]
+    for j in range(1, DECON_N):
+        c = uniq.column(f"w{j}").to_numpy()
+        h = ((h * _CMS_BASE + ord(" ")) % _POLY_PRIME * wpow[c] + wh[c]
+             ) % _POLY_PRIME
+    doc = batch["doc_id"].to_numpy(dtype=np.int64)
+    return doc[uniq.column("row").to_numpy()], h
 
 
 def decontaminate_val(sf_dir: str):
@@ -941,24 +993,30 @@ def decontaminate_val(sf_dir: str):
     TB-scale — marks val rows in buckets that also contain a train row;
     a second, much smaller exchange on doc_id folds the per-doc counts.
     Volume: O(tokens) rows into the first shuffle, O(contaminated
-    grams) into the second."""
+    grams) into the second. The dedup and the mark group grams with
+    Arrow, which keeps a gram ending in NUL apart from the same gram
+    without it."""
     from rfb_cnpj_etl_ray.stages.exchange import repartition_by_key
 
-    def grams(batch: pd.DataFrame) -> pd.DataFrame:
-        mod = batch["doc_id"].to_numpy() % 10
-        out = _shingle_distinct(batch[mod <= 8])  # test docs play no part
-        out["is_train"] = (out["doc_id"] % 10 < 8).astype(bool)
-        return out
+    def grams(batch: pd.DataFrame) -> pa.Table:
+        batch = batch[batch["doc_id"].to_numpy() % 10 <= 8]  # no test docs
+        row, gram = _ngrams(*_words(batch["text"]), DECON_N)
+        t = pa.table({
+            "doc_id": batch["doc_id"].to_numpy(dtype=np.int64)[row],
+            "gram": pa.array(gram, pa.string()),
+        }).group_by(["doc_id", "gram"]).aggregate([])
+        return t.append_column("is_train", pa.array(
+            t.column("doc_id").to_numpy() % 10 < 8))
 
-    def mark(df: pd.DataFrame) -> pa.Table:
+    def mark(t: pa.Table) -> pa.Table:
         # gram buckets are whole within a block after the exchange;
         # declared-Arrow output keeps empty blocks schema-stable
-        if df.empty:
-            ids = []
-        else:
-            hit = df.groupby("gram", sort=False)["is_train"].transform("max")
-            ids = df.loc[~df["is_train"] & hit, "doc_id"]
-        return pa.table({"doc_id": pa.array(ids, pa.int64())})
+        if not t.num_rows:
+            return pa.table({"doc_id": pa.array([], pa.int64())})
+        train = pc.unique(t.filter(t.column("is_train")).column("gram"))
+        hit = pc.and_(pc.invert(t.column("is_train")),
+                      pc.is_in(t.column("gram"), value_set=train))
+        return pa.table({"doc_id": t.column("doc_id").filter(hit)})
 
     def fold(df: pd.DataFrame) -> pa.Table:
         if df.empty:
@@ -973,7 +1031,7 @@ def decontaminate_val(sf_dir: str):
     pairs = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         grams, batch_format="pandas")
     hits = repartition_by_key(pairs, ["gram"]).map_batches(
-        mark, batch_format="pandas", batch_size=None)
+        mark, batch_format="pyarrow", batch_size=None)
     return repartition_by_key(hits, ["doc_id"]).map_batches(
         fold, batch_format="pandas", batch_size=None)
 
@@ -1385,7 +1443,7 @@ def _corpus_token_counts(sf_dir: str):
                              "n": pd.Series(cnt, dtype="int64")})
 
     tbl = _fold_docs(sf_dir, ["text"], partial,
-                     _sum_counts("token")).to_pandas()
+                     sum_by(["token"], "n")).to_pandas()
     if tbl.empty:
         return {}
     return dict(zip(tbl["token"], (int(x) for x in tbl["n"])))
@@ -1401,28 +1459,29 @@ def token_rarity_scores(sf_dir: str):
 
     Scale shape: the corpus count map is the broadcast small side
     (``ray.put`` once, ``fetch``ed once per worker process); the score
-    pass is one stateless flat-buffer kernel per batch — map counts with
-    one vectorized lookup, then per-doc ``minimum.reduceat`` /
+    pass is one stateless flat-buffer kernel per batch — map each
+    distinct word's count with one vectorized lookup, gather by the word
+    codes, then per-doc ``minimum.reduceat`` /
     ``add.reduceat``. No shuffle on the document stream. A token the
     count pass never saw (the input changed between the two passes)
     raises ``ValueError`` instead of scoring against a partial map."""
     counts_ref = ray.put(_corpus_token_counts(sf_dir))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
-        flat, lens = _words(batch["text"])
+        codes, words, lens = _word_codes(batch["text"])
         n = len(batch)
         min_c = np.zeros(n, dtype=np.int64)
         sum_c = np.zeros(n, dtype=np.int64)
         if lens.sum():
-            flat = pd.Series(flat)
-            mapped = flat.map(fetch(counts_ref))
+            words = pd.Series(words)
+            mapped = words.map(fetch(counts_ref))
             if mapped.isna().any():
                 raise ValueError(
                     f"token_rarity_scores: {int(mapped.isna().sum())} "
                     f"token(s) of the score pass (e.g. "
-                    f"{flat[mapped.isna()].iloc[0]!r}) are missing from "
+                    f"{words[mapped.isna()].iloc[0]!r}) are missing from "
                     f"the count pass (input changed between passes?)")
-            c = mapped.to_numpy(dtype=np.int64)
+            c = mapped.to_numpy(dtype=np.int64)[codes]
             offsets = np.zeros(n, dtype=np.int64)
             np.cumsum(lens[:-1], out=offsets[1:])
             ne = lens > 0
@@ -1508,13 +1567,14 @@ def pmi_bigram_topk(sf_dir: str, k: int = PMI_K,
 
     out_schema = pa.schema([("bigram", pa.string()),
                             ("pmi_ppm", pa.int64()), ("n", pa.int64())])
+    sum_n = sum_by(["l", "r"], "n")
 
     def fold(df: pd.DataFrame) -> pa.Table:
         # Arrow out, so a block with no bigram above min_count is a typed
         # empty block rather than an object-dtype frame
         if df.empty:
             return out_schema.empty_table()
-        g = df.groupby(["l", "r"], as_index=False)["n"].sum()
+        g = sum_n(df).to_pandas()
         g = g[g["n"] >= min_count]
         if g.empty:
             return out_schema.empty_table()
@@ -1734,7 +1794,7 @@ FROM t GROUP BY source
 # SQL twin proven on non-ASCII) + pairwise (a·h+b) mod p mod W rows.
 # ---------------------------------------------------------------------------
 
-_CMS_PRIME = 2147483647            # 2^31-1, same modulus as the minhash fold
+_CMS_PRIME = _POLY_PRIME           # 2^31-1, same modulus as the minhash fold
 _CMS_BASE = 131                    # same code-point polynomial base
 _CMS_WIDTH = 1024
 _CMS_PERMS = ((1103, 12345), (12289, 6789), (524287, 42), (8191, 9999))
@@ -1746,16 +1806,11 @@ _CMS_QUERY = ("join", "hash", "row", "batch", "scan", "column",
               "filter", "merge", "the", "a")
 
 
-def _cms_word_hashes(words: np.ndarray) -> np.ndarray:
-    from rfb_cnpj_etl_ray.functions.dedup import _word_poly_hashes
-
-    return _word_poly_hashes(words, _CMS_BASE)
-
-
 def cms_token_counts(sf_dir: str):
     """CMS-estimated vs hash-exact occurrence counts for the fixed
-    stopword query set. Per batch: flatten tokens, hash once, bincount
-    each of the 4 pairwise-permuted rows (≤ 4×1024 counter rows per
+    stopword query set. Per batch: hash each distinct word once
+    (``_word_codes``), bincount each of the 4 pairwise-permuted rows
+    weighted by the words' occurrences (≤ 4×1024 counter rows per
     block) plus hash-equality exact partials for the 10 query tokens
     (tagged row = -1 in the same partial stream); ``fold_parquet`` sums
     the grid and its root takes the per-token min across rows. cms_count ≥
@@ -1764,22 +1819,23 @@ def cms_token_counts(sf_dir: str):
     matches (identical definition in the SQL); at vocabulary scales
     where base-131 poly collisions with a query hash become likely it
     is itself a (tiny) overcount of the string count."""
-    qh = _cms_word_hashes(np.array(_CMS_QUERY, dtype=object))
+    qh = _word_poly_hashes(np.array(_CMS_QUERY, dtype=object), _CMS_BASE)
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        flat, counts = _words(batch["text"])
+        codes, words, _ = _word_codes(batch["text"])
         frames = []
-        if counts.sum():
-            h = _cms_word_hashes(flat)
+        if len(codes):
+            h = _word_poly_hashes(words, _CMS_BASE)
+            occ = np.bincount(codes, minlength=len(words))
             for r, (a, b) in enumerate(_CMS_PERMS):
                 buckets = ((a * h + b) % _CMS_PRIME) % _CMS_WIDTH
-                cnt = np.bincount(buckets, minlength=_CMS_WIDTH)
+                cnt = np.bincount(buckets, weights=occ, minlength=_CMS_WIDTH)
                 nz = np.nonzero(cnt)[0]
                 frames.append(pd.DataFrame({
                     "row": np.full(len(nz), r, dtype=np.int64),
                     "bucket": nz.astype(np.int64),
                     "cnt": cnt[nz].astype(np.int64)}))
-            exact = (h[:, None] == qh[None, :]).sum(axis=0)
+            exact = occ @ (h[:, None] == qh[None, :])
             frames.append(pd.DataFrame({
                 "row": np.full(len(qh), -1, dtype=np.int64),
                 "bucket": np.arange(len(qh), dtype=np.int64),
@@ -1901,6 +1957,9 @@ def bloom_decontaminate(sf_dir: str):
     contract is "what a Bloom-gated filter would drop", and the oracle
     reproduces the same bitmap exactly.
 
+    Both passes hash each distinct (doc, shingle) from its words' hashes
+    (``_shingle_hashes``): no shingle string is built.
+
     Scale shape: the build pass emits ONE packed 128 KB bitmap row per
     batch (constant, whatever the batch holds) which ``fold_parquet``
     ORs in tasks; only the root bitmap reaches the driver, and the root
@@ -1914,15 +1973,14 @@ def bloom_decontaminate(sf_dir: str):
     the val side fits a constant-size sketch."""
 
     def val_bits(batch: pd.DataFrame) -> pa.Table:
-        g = _shingle_distinct(batch[batch["doc_id"].to_numpy() % 10 == 8])
-        if not len(g):
+        _, h = _shingle_hashes(batch[batch["doc_id"].to_numpy() % 10 == 8])
+        if not len(h):
             # blocks with no val docs contribute NOTHING — at corpus
             # scale ~all blocks are train-only, and emitting a zero
             # bitmap per block would make the driver fold scale with
             # corpus block count instead of val size
             return pa.table({"bits": pa.array([], pa.binary())})
         bits = np.zeros(_BLOOM_M, dtype=bool)
-        h = _cms_word_hashes(g["gram"].to_numpy())
         for pos in _bloom_positions(h):
             bits[pos] = True
         return pa.table(
@@ -1944,20 +2002,15 @@ def bloom_decontaminate(sf_dir: str):
     bits_ref = ray.put(np.unpackbits(bitmap).astype(bool))
 
     def probe(batch: pd.DataFrame) -> pd.DataFrame:
-        g = _shingle_distinct(
-            batch[batch["doc_id"].to_numpy() % 10 < 8])
-        if len(g):
+        doc, h = _shingle_hashes(batch[batch["doc_id"].to_numpy() % 10 < 8])
+        ok = np.ones(len(h), dtype=bool)
+        if len(h):
             bits = fetch(bits_ref)
-            h = _cms_word_hashes(g["gram"].to_numpy())
-            ok = np.ones(len(g), dtype=bool)
             for pos in _bloom_positions(h):
                 ok &= bits[pos]
-            hits = g.loc[ok, "doc_id"].value_counts().sort_index()
-        else:
-            hits = pd.Series([], dtype="int64")
-        return pd.DataFrame({
-            "doc_id": hits.index.to_numpy(dtype=np.int64),
-            "n_bloom_hits": hits.to_numpy(dtype=np.int64)})
+        ids, n = np.unique(doc[ok], return_counts=True)
+        return pd.DataFrame({"doc_id": ids.astype(np.int64),
+                             "n_bloom_hits": n.astype(np.int64)})
 
     return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         probe, batch_format="pandas")
@@ -2038,7 +2091,7 @@ def certified_topk_tokens(sf_dir: str, k: int = TOP_TOKENS_K):
 
     # summing per token keeps the candidate union (counts are unused)
     # and Στ (the "" row) in one combine
-    sum_n = _sum_counts("token")
+    sum_n = sum_by(["token"], "n")
     union = _fold_docs(sf_dir, ["text"], local_tops, sum_n).to_pandas()
     if union.empty:                       # no tokens at all
         cands, s_tau = np.array([], dtype=object), 0

@@ -12,9 +12,13 @@ finishes on a one-CPU cluster.
   driver.
 * ``fold_parquet`` — the same fold fed straight from parquet files: one
   plain task per row group applies the per-batch partial and the first
-  combine, so a fold over one table starts no Dataset at all.
+  combine, so a fold over one table starts no Dataset at all. Its keyed
+  form (``by=(key, buckets)``) folds HIGH-cardinality partials into a
+  truncating result such as a top-k: each piece splits its rows into
+  ``buckets`` hash buckets of the key, each bucket folds on its own task
+  tree, and only the bucket roots, which hold disjoint keys, are cut.
 * ``sum_by`` — the fold combine that sums count or revenue
-  partials per key.
+  partials per key (one Arrow ``group_by``).
 * ``aggregate_by`` — the fold of per-block partials over HIGH-cardinality
   keys: ``repartition_by_key``, then one Arrow ``group_by`` per block.
 * ``fetch`` — broadcast side inputs (``ray.put`` refs) into plain
@@ -29,11 +33,14 @@ import os
 import threading
 from collections import OrderedDict
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
+
+from rfb_cnpj_etl_ray.hashing import partition_ids
 
 
 def repartition_by_key(ds: "ray.data.Dataset", keys: list[str]
@@ -89,18 +96,18 @@ def _fold_level(combine, finish, *blocks) -> pd.DataFrame:
 _fold_level_task = _task(_fold_level)
 
 
-def _fold_refs(refs: list, combine, finish=None) -> "ray.data.Dataset":
+def _fold_refs(refs: list, combine, finish=None) -> "ray.ObjectRef":
     """Fold partial block refs to ONE block: one plain task per
     ``FOLD_WIDTH`` refs, level after level, with ``finish`` in the last
-    task. The root's rows stay on the cluster inside the returned
-    one-block Dataset until the caller consumes it."""
+    task. Returns the root's ref; its rows stay on the cluster until the
+    caller consumes them."""
     while True:
         last = len(refs) <= FOLD_WIDTH
         refs = [_fold_level_task.remote(combine, finish if last else None,
                                         *refs[i:i + FOLD_WIDTH])
                 for i in range(0, len(refs), FOLD_WIDTH)]
         if last:
-            return ray.data.from_pandas_refs(refs)
+            return refs[0]
 
 
 def tree_fold(partials: "ray.data.Dataset", combine, finish=None
@@ -125,7 +132,7 @@ def tree_fold(partials: "ray.data.Dataset", combine, finish=None
             for ref, meta in bundle.blocks if meta.num_rows != 0]
     if not refs:
         return ray.data.from_items([])
-    return _fold_refs(refs, combine, finish)
+    return ray.data.from_pandas_refs([_fold_refs(refs, combine, finish)])
 
 
 def _batch_rows(row_group, columns: list[str]) -> int:
@@ -158,8 +165,25 @@ def _fold_piece(piece, columns, partial, combine, finish, batch_format):
 _fold_piece_task = _task(_fold_piece, num_returns=2)
 
 
+def _keyed_piece(piece, columns, partial, combine, batch_format, key,
+                 buckets):
+    """One keyed ``fold_parquet`` task: the piece's fold split by the
+    hash bucket of ``key``. Returns ``buckets`` frames, then the rows
+    in each bucket."""
+    df, n = _fold_piece(piece, columns, partial, combine, None, batch_format)
+    if not n:
+        return (None,) * buckets + (np.zeros(buckets, np.int64),)
+    ids = partition_ids(df[key].to_numpy(), buckets)
+    return tuple(df[ids == b] for b in range(buckets)) + (
+        np.bincount(ids, minlength=buckets),)
+
+
+_keyed_piece_task = _task(_keyed_piece)
+
+
 def fold_parquet(paths, columns: list[str], partial, combine, finish=None,
-                 batch_format: str = "pandas") -> "ray.data.Dataset":
+                 batch_format: str = "pandas", by=None
+                 ) -> "ray.data.Dataset":
     """Read one table's parquet file(s) and fold it, with plain tasks
     only: the same result as ``tree_fold(read.map_batches(partial,
     batch_format=...), combine, finish)``, but no Dataset is started.
@@ -174,6 +198,18 @@ def fold_parquet(paths, columns: list[str], partial, combine, finish=None,
     returns its partial-row count, so when no piece has a row the result
     is an empty Dataset and neither ``combine`` nor ``finish`` runs,
     without a partial reaching the driver.
+
+    ``by=(key, buckets)`` is the keyed fold, for partials whose keys are
+    too many for one task and whose ``finish`` cuts rows (a top-k).
+    ``finish`` must then be a combine itself, exact over partials with
+    DISJOINT keys, and ``combine`` must never cut. Each piece splits its
+    combined rows by ``hashing.partition_ids(key, buckets)``; each
+    bucket folds its pieces' rows on a tree of ``combine`` tasks with
+    ``finish`` at its root, and the bucket roots fold once more with
+    ``finish``. Those two steps are the only ones that see disjoint
+    keys, so they are the only ones that cut, and no task holds more
+    than one bucket's keys. A lone piece holds each key once already,
+    so it runs ``finish`` itself as in the plain fold.
     """
     paths = [paths] if isinstance(paths, (str, os.PathLike)) else paths
     pieces = []
@@ -182,6 +218,9 @@ def fold_parquet(paths, columns: list[str], partial, combine, finish=None,
         pieces += [(str(p), rg, _batch_rows(meta.row_group(rg), columns))
                    for rg in range(meta.num_row_groups)]
     root = len(pieces) == 1
+    if by is not None and not root:
+        return _keyed_fold(pieces, columns, partial, combine, finish,
+                           batch_format, *by)
     out = [_fold_piece_task.remote(p, columns, partial, combine,
                                    finish if root else None, batch_format)
            for p in pieces]
@@ -189,9 +228,36 @@ def fold_parquet(paths, columns: list[str], partial, combine, finish=None,
     refs = [ref for (ref, _), n in zip(out, counts) if n]
     if not refs:
         return ray.data.from_items([])
-    if root:
-        return ray.data.from_pandas_refs(refs)
-    return _fold_refs(refs, combine, finish)
+    if not root:
+        refs = [_fold_refs(refs, combine, finish)]
+    return ray.data.from_pandas_refs(refs)
+
+
+def _keyed_fold(pieces, columns, partial, combine, finish, batch_format,
+                key, buckets) -> "ray.data.Dataset":
+    """``fold_parquet(..., by=(key, buckets))`` over two or more pieces:
+    one bucket tree per non-empty bucket, then ``finish`` over the
+    bucket roots."""
+    task = _keyed_piece_task.options(num_returns=buckets + 1)
+    out = [task.remote(p, columns, partial, combine, batch_format, key,
+                       buckets) for p in pieces]
+    rows = ray.get([o[-1] for o in out])
+    roots = [_fold_refs([o[b] for o, n in zip(out, rows) if n[b]],
+                        combine, finish)
+             for b in range(buckets) if any(n[b] for n in rows)]
+    if not roots:
+        return ray.data.from_items([])
+    return ray.data.from_pandas_refs([_fold_refs(roots, finish)])
+
+
+def _group(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
+    """One Arrow ``group_by(keys).aggregate(spec)``, its columns named
+    ``keys`` then each aggregated column's own name. Arrow compares
+    string keys byte for byte; pandas' C-string hash table would merge
+    a key with a trailing NUL into the same key without it."""
+    g = t.group_by(keys).aggregate(spec)
+    return pa.table({**{k: g.column(k) for k in keys},
+                     **{c: g.column(f"{c}_{fn}") for c, fn in spec}})
 
 
 def aggregate_by(partials: "ray.data.Dataset", keys: list[str],
@@ -208,9 +274,7 @@ def aggregate_by(partials: "ray.data.Dataset", keys: list[str],
     spec = list(aggs.items())
 
     def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys).aggregate(spec)
-        return pa.table({**{k: g.column(k) for k in keys},
-                         **{c: g.column(f"{c}_{fn}") for c, fn in spec}})
+        return _group(t, keys, spec)
 
     return repartition_by_key(partials, keys).map_batches(
         fold, batch_format="pyarrow", batch_size=None)
@@ -225,10 +289,14 @@ _fetch_lock = threading.Lock()
 
 def sum_by(keys: list[str], col: str | list[str]):
     """Fold combine for count or revenue partials: sum ``col``
-    (one column or a list of columns) per key."""
+    (one column or a list of columns) per key, with ``_group``."""
+    keys = list(keys)
+    spec = [(c, "sum") for c in ([col] if isinstance(col, str) else col)]
 
-    def combine(df):
-        return df.groupby(keys, as_index=False)[col].sum()
+    def combine(df) -> pa.Table:
+        if not isinstance(df, pa.Table):
+            df = pa.Table.from_pandas(df, preserve_index=False)
+        return _group(df, keys, spec)
 
     return combine
 

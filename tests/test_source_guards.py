@@ -10,6 +10,9 @@ library's ``ast`` so they need no linter.
   (high-cardinality keys).
 * No class is a Ray actor (decorated with ``ray.remote``): the engine
   runs on plain tasks only.
+* ``functions/text.py`` calls no ``map_groups``: a top-k over a
+  vocabulary is ``fold_parquet``'s keyed fold on plain tasks, not a
+  Ray Data groupby.
 * ``stages/merge.py`` calls no ``read_table``: the partition readers
   open each file with ``pq.ParquetFile``, because ``pq.read_table``'s
   dataset layer costs about 0.6 ms per small file for the same table.
@@ -111,3 +114,12 @@ def test_partition_files_read_via_parquetfile():
              and (getattr(node.func, "attr", None) == "read_table"
                   or getattr(node.func, "id", None) == "read_table")]
     assert found == [], "read_table calls:\n" + "\n".join(found)
+
+
+def test_text_ops_call_no_map_groups():
+    path = PKG / "functions" / "text.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f"functions/text.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "map_groups"]
+    assert found == [], "map_groups calls:\n" + "\n".join(found)

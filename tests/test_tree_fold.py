@@ -1,7 +1,8 @@
-"""``stages.exchange.tree_fold``, ``fold_parquet``, ``aggregate_by``
-and ``fetch``: the task-only partial folds (low- and high-cardinality
-keys; from a Dataset or straight from parquet files) and the per-worker
-broadcast cache the operators share."""
+"""``stages.exchange.tree_fold``, ``fold_parquet`` (plain and keyed),
+``aggregate_by``, ``sum_by`` and ``fetch``: the task-only partial folds
+(low- and high-cardinality keys; from a Dataset or straight from
+parquet files) and the per-worker broadcast cache the operators
+share."""
 
 import numpy as np
 import pandas as pd
@@ -171,7 +172,10 @@ def test_fold_parquet_runs_one_task_per_row_group(ray_session, tmp_path,
 def test_fold_parquet_of_one_row_group_folds_in_its_piece(ray_session,
                                                           tmp_path):
     """A file in one row group is one task: the piece's own combine and
-    ``finish`` are the whole fold. A list of files folds across all."""
+    ``finish`` are the whole fold, keyed (no bucket split) or not. A
+    list of files folds across all."""
+    from rfb_cnpj_etl_ray.functions import text as T
+
     one, two = tmp_path / "one.parquet", tmp_path / "two.parquet"
     a = _write_row_groups(one, [300], seed=1)
     b = _write_row_groups(two, [40, 40], seed=2)
@@ -187,12 +191,18 @@ def test_fold_parquet_of_one_row_group_folds_in_its_piece(ray_session,
     pd.testing.assert_frame_equal(
         both.sort_values("k", ignore_index=True),
         _sum_n(pd.concat([a, b], ignore_index=True)))
+    top = X.fold_parquet(one, ["k", "n"], _sum_n,
+                         _counted(marks, _sum_n, "keyed"),
+                         T._sum_topk("k", 3), by=("k", 4)).to_pandas()
+    assert len(_calls(marks, "keyed")) == 1
+    want = _sum_n(a).sort_values(["n", "k"], ascending=[False, True])
+    assert top["k"].tolist() == want["k"].head(3).tolist()
 
 
 def test_fold_parquet_of_no_rows_is_empty(ray_session, tmp_path):
     """No partial rows → an empty Dataset; neither ``combine`` nor
     ``finish`` runs, whether the file has no rows or every batch's
-    partial is empty."""
+    partial is empty, keyed or not."""
     def boom(df):
         raise AssertionError("no root, so nothing may run")
 
@@ -207,6 +217,8 @@ def test_fold_parquet_of_no_rows_is_empty(ray_session, tmp_path):
     _write_row_groups(rows, [50, 50])
     assert X.fold_parquet(rows, ["k", "n"], nothing, boom,
                           boom).count() == 0
+    assert X.fold_parquet(rows, ["k", "n"], nothing, boom, boom,
+                          by=("k", 4)).count() == 0
 
 
 def test_fold_parquet_batch_format_pyarrow(ray_session, tmp_path):
@@ -226,6 +238,66 @@ def test_fold_parquet_batch_format_pyarrow(ray_session, tmp_path):
                          batch_format="pyarrow").to_pandas()
     pd.testing.assert_frame_equal(out.sort_values("k", ignore_index=True),
                                   _sum_n(whole))
+
+
+def _write_keyed_row_groups(path, n_groups: int, per_group: int):
+    """A (k, n) file in ``n_groups`` row groups: each group holds
+    ``per_group`` keys of its own at count 17 and the key "x" at
+    count 1. "x" totals ``n_groups``; any 16 row groups give it only
+    16, fewer than any other key's 17."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    schema = pa.schema([("k", pa.string()), ("n", pa.int64())])
+    groups = []
+    with pq.ParquetWriter(path, schema) as w:
+        for g in range(n_groups):
+            keys = [f"u{g:02d}-{j}" for j in range(per_group)] + ["x"]
+            t = pa.table({"k": keys, "n": [17] * per_group + [1]},
+                         schema=schema)
+            w.write_table(t)
+            groups.append(t)
+    return pa.concat_tables(groups)
+
+
+def test_keyed_fold_top_k_over_more_pieces_than_fold_width(ray_session,
+                                                            tmp_path):
+    """``fold_parquet(by=(key, buckets))`` with a truncating ``finish``
+    equals one Arrow ``group_by`` sorted by count descending, then key
+    ascending, cut at k — over 20 row groups (> ``FOLD_WIDTH``, so each
+    bucket's tree has two levels), with "x" the top key only once every
+    piece is summed and ties at the k-th count. A fold that cut below
+    the bucket roots would lose "x"."""
+    from rfb_cnpj_etl_ray.functions import text as T
+
+    path = tmp_path / "t.parquet"
+    whole = _write_keyed_row_groups(path, X.FOLD_WIDTH + 4, per_group=3)
+    for k in (1, 5, 61):
+        out = X.fold_parquet(path, ["k", "n"], lambda df: df,
+                             X.sum_by(["k"], "n"), T._sum_topk("k", k),
+                             by=("k", T._TOPK_BUCKETS))
+        assert out.num_blocks() == 1
+        want = (whole.group_by("k").aggregate([("n", "sum")])
+                .sort_by([("n_sum", "descending"), ("k", "ascending")])
+                .slice(0, k))
+        got = out.to_pandas()
+        assert got["k"].tolist() == want.column("k").to_pylist()
+        assert got["n"].tolist() == want.column("n_sum").to_pylist()
+    assert got["k"].iloc[0] == "x" and got["n"].iloc[0] == X.FOLD_WIDTH + 4
+
+
+def test_string_keys_ending_in_nul_stay_apart():
+    """``sum_by`` and the Jaccard incidence kernel keep 'ab\\x00' apart
+    from 'ab'; pandas' ``groupby`` and ``factorize`` merge them."""
+    from rfb_cnpj_etl_ray.functions import dedup as D
+
+    df = pd.DataFrame({"k": ["ab\x00", "ab", "x", "ab"],
+                       "n": [1, 2, 3, 4]})
+    got = X.sum_by(["k"], "n")(df).to_pydict()
+    assert dict(zip(got["k"], got["n"])) == {"ab\x00": 1, "ab": 6, "x": 3}
+    pairs = D._jaccard_pairs_matrix(
+        np.array([0, 1]), [{"ab\x00", "x"}, {"ab", "x"}], 0.0)
+    assert pairs["jaccard"].tolist() == [round(1 / 3, 4)]
 
 
 def test_aggregate_by_equals_one_groupby(ray_session):
@@ -295,8 +367,9 @@ def test_fetch_resolves_a_sharded_broadcast_in_one_slot(ray_session):
 
 
 def test_file_folds_start_no_dataset(ray_session, monkeypatch):
-    """``cms_token_counts``, ``certified_topk_tokens`` (two passes) and
-    ``refined_quantiles`` (two passes) are folds only: with
+    """``cms_token_counts``, ``certified_topk_tokens`` (two passes),
+    ``refined_quantiles`` (two passes), ``top_tokens`` and
+    ``bigram_topk`` (keyed) are folds only: with
     ``ray.data.read_parquet`` raising on the driver they still run,
     every pass on ``fold_parquet``'s plain tasks, and each matches its
     DuckDB twin."""
@@ -312,5 +385,7 @@ def test_file_folds_start_no_dataset(ray_session, monkeypatch):
     monkeypatch.setattr(ray.data, "read_parquet", no_dataset)
     for fn, sql in ((T.cms_token_counts, T.CMS_TOKEN_COUNTS_SQL),
                     (T.certified_topk_tokens, T.CERTIFIED_TOPK_TOKENS_SQL),
-                    (T.refined_quantiles, T.REFINED_QUANTILES_SQL)):
+                    (T.refined_quantiles, T.REFINED_QUANTILES_SQL),
+                    (T.top_tokens, T.TOP_TOKENS_SQL),
+                    (T.bigram_topk, T.BIGRAM_TOPK_SQL)):
         assert_query_matches(fn, sql, SF_DIR)
